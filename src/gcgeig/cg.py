@@ -1,10 +1,14 @@
 """Block conjugate gradient with per-column stopping.
 
 Solves ``op @ w = rhs`` column by column, sharing operator applications by
-packing the still-active columns into one block per sweep.  The caller is
-expected to pass a shifted combination ``A - theta*B``; directions with a
-nonpositive curvature ``p' (A - theta*B) p`` are frozen at their current
-iterate instead of being updated further.
+sweeping over one block of the still-active columns.  The work arrays keep
+the active columns as their leading prefix ``[:, :na]``: when a column
+converges or freezes, a stable partition moves it behind the prefix once,
+so every sweep works on contiguous views, and the caller's column order is
+restored on return.  The caller is expected to pass a shifted combination
+``A - theta*B``; directions with a nonpositive curvature
+``p' (A - theta*B) p`` are frozen at their current iterate instead of being
+updated further.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ def block_cg(op, rhs, x0=None, max_iters=30, rel_tol=0.01, precond=None):
         raise InvalidShape(f"operator dim {op.dim} != rhs dim {n}")
     if x0 is None:
         x = np.zeros((n, k), order="F")
-        r = rhs.copy()
+        r = rhs.copy(order="F")
     else:
         if x0.shape != rhs.shape:
             raise InvalidShape(f"x0 shape {x0.shape} != rhs shape {rhs.shape}")
@@ -53,47 +57,76 @@ def block_cg(op, rhs, x0=None, max_iters=30, rel_tol=0.01, precond=None):
         r = rhs - op.apply(x)
 
     rn0 = np.sqrt(_col_dots(r, r))
-    target = rel_tol * rn0
-    converged = rn0 <= target  # zero-residual columns are done immediately
-    frozen = np.zeros(k, dtype=bool)
-    rn = rn0.copy()
-
+    # The first r.z is taken against a C-order copy: einsum rounds by
+    # layout, and this is the rounding the solver's results were pinned with.
     z = precond(r) if precond is not None else r.copy()
-    p = z.copy()
     rz = _col_dots(r, z)
-    sweeps = 0
+    p = np.array(z, dtype=np.float64, order="F")
+    q = np.empty((n, k), order="F")
 
+    # Per-position state: position i of the work arrays holds column
+    # perm[i] of the caller's block; positions [0, na) are still active.
+    perm = np.arange(k)
+    target = rel_tol * rn0
+    rn = rn0.copy()
+    stopped = rn0 <= target       # zero-residual columns are done at once
+    frozen = np.zeros(k, dtype=bool)
+
+    def retire(na, leaving):
+        """Stable-partition the prefix [:na] so that the columns flagged in
+        ``leaving`` move behind the columns that stay; returns the new na."""
+        keep = np.flatnonzero(~leaving)
+        order = np.concatenate((keep, np.flatnonzero(leaving)))
+        m = keep.size
+        x[:, :na] = x[:, order]
+        for vec in (perm, target, rn, rz, stopped, frozen):
+            vec[:na] = vec[order]
+        for work in (r, p, q):
+            work[:, :m] = work[:, keep]
+        return m
+
+    na = retire(k, stopped) if stopped.any() else k
+    sweeps = 0
     for _ in range(max_iters):
-        idx = np.flatnonzero(~converged & ~frozen)
-        if idx.size == 0:
+        if na == 0:
             break
         sweeps += 1
-        pb = np.asfortranarray(p[:, idx])
-        qb = op.apply(pb)
-        den = _col_dots(pb, qb)
+        pa, qa = p[:, :na], q[:, :na]
+        op.apply(pa, out=qa)
+        den = _col_dots(pa, qa)
         bad = den <= 0.0
-        if np.any(bad):
-            frozen[idx[bad]] = True
-            idx = idx[~bad]
-            if idx.size == 0:
-                continue
-            pb = pb[:, ~bad]
-            qb = qb[:, ~bad]
+        if bad.any():
+            frozen[:na] = bad
+            stopped[:na] = bad
             den = den[~bad]
-        alpha = rz[idx] / den
-        x[:, idx] += pb * alpha
-        r[:, idx] -= qb * alpha
-        rn[idx] = np.sqrt(_col_dots(r[:, idx], r[:, idx]))
-        done = rn[idx] <= target[idx]
-        converged[idx[done]] = True
-        idx = idx[~done]
-        if idx.size == 0:
-            continue
-        zb = precond(r[:, idx]) if precond is not None else r[:, idx]
-        rz_new = _col_dots(r[:, idx], zb)
-        beta = rz_new / rz[idx]
-        p[:, idx] = zb + p[:, idx] * beta
-        rz[idx] = rz_new
+            na = retire(na, bad)
+            if na == 0:
+                continue
+            pa, qa = p[:, :na], q[:, :na]
+        alpha = rz[:na] / den
+        x[:, :na] += pa * alpha
+        ra = r[:, :na]
+        ra -= qa * alpha
+        rr = _col_dots(ra, ra)
+        rn[:na] = np.sqrt(rr)
+        done = rn[:na] <= target[:na]
+        if done.any():
+            stopped[:na] = done
+            rr = rr[~done]
+            na = retire(na, done)
+            if na == 0:
+                continue
+            pa, ra = p[:, :na], r[:, :na]
+        if precond is not None:
+            za = precond(ra)
+            rz_new = _col_dots(ra, za)
+        else:
+            za, rz_new = ra, rr
+        pa *= rz_new / rz[:na]
+        pa += za
+        rz[:na] = rz_new
 
+    inv = np.argsort(perm)
     safe = np.where(rn0 > 0.0, rn0, 1.0)
-    return x, CgReport(sweeps, converged, frozen, rn / safe)
+    report = CgReport(sweeps, (stopped & ~frozen)[inv], frozen[inv], rn[inv] / safe)
+    return np.asfortranarray(x[:, inv]), report

@@ -36,7 +36,7 @@ __all__ = [
     "HISTORY_COLUMNS",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 HISTORY_COLUMNS = (
     "iter",
@@ -44,6 +44,8 @@ HISTORY_COLUMNS = (
     "first_unconverged_residual",
     "theta",
     "cg_iters",
+    "cg_converged",
+    "cg_frozen",
     "t_step2",
     "t_step3",
     "t_step4",
@@ -51,7 +53,9 @@ HISTORY_COLUMNS = (
     "t_step6",
     "orth_reductions",
 )
-_INT_COLUMNS = frozenset(("iter", "num_converged", "cg_iters", "orth_reductions"))
+_INT_COLUMNS = frozenset(
+    ("iter", "num_converged", "cg_iters", "cg_converged", "cg_frozen", "orth_reductions")
+)
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +355,8 @@ def history_rows(report):
             "first_unconverged_residual": float(rec.first_unconverged_residual),
             "theta": float(rec.theta),
             "cg_iters": int(rec.cg_iterations),
+            "cg_converged": int(rec.cg_converged),
+            "cg_frozen": int(rec.cg_frozen),
         }
         for key in _TIMING_KEYS:
             row[key] = float(rec.timings.get(key, 0.0))

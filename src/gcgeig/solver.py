@@ -36,7 +36,7 @@ import numpy as np
 from . import _kernels
 from .cg import block_cg
 from .dense import gram_svd, sym_eig_full, sym_eig_range
-from .errors import AllDependent, InvalidShape
+from .errors import AllDependent, InvalidMatrix, InvalidShape
 from .multivec import mv_inner_prod, mv_new, mv_set_random
 from .operators import ShiftedOperator, as_operator
 from .orth import OrthConfig, orth_against, recursive_orth_svd
@@ -86,6 +86,8 @@ class IterationRecord:
     timings: dict = field(default_factory=dict)
     basis_defect: float | None = None
     abar_defect: float | None = None
+    cg_converged: int = 0              # inner CG columns that met rel_tol
+    cg_frozen: int = 0                 # inner CG columns stopped on nonpositive curvature
 
 
 @dataclass
@@ -199,6 +201,35 @@ def _build_p(coeffs, num_x_rows, group_start, group_width, dep_tol):
     return q @ (dec.vectors[:, bad:] / np.sqrt(dec.values[bad:]))
 
 
+def _starting_block(v, sx, b_op, ocfg, seed):
+    """B-orthonormalize a random block into v[:, :sx], retrying the dropped
+    columns once; returns the reductions spent."""
+    mv_set_random(v[:, :sx], seed)
+    out = recursive_orth_svd(v, 1, sx, b=b_op, cfg=ocfg)
+    reductions = out.reduction_count
+    if out.num_kept < sx:
+        mv_set_random(v[:, out.num_kept : sx], seed + 9973)
+        out = recursive_orth_svd(v, 1, sx, b=b_op, cfg=ocfg)
+        reductions += out.reduction_count
+        if out.num_kept < sx:
+            raise AllDependent("could not build a full-rank starting block")
+    return reductions
+
+
+def _check_b_definite(b_op, sx, seed, dep_tol):
+    """Raise InvalidMatrix when the B-Gram of the random starting block has
+    an eigenvalue below -dep_tol times its largest magnitude."""
+    x = mv_set_random(mv_new(b_op.dim, sx), seed)
+    g = x.T @ b_op.apply(x)
+    vals = np.linalg.eigvalsh((g + g.T) / 2.0)
+    scale = float(np.abs(vals).max(initial=0.0))
+    if vals[0] < -dep_tol * scale:
+        raise InvalidMatrix(
+            f"B is not positive definite: the Gram of the starting block has "
+            f"eigenvalue {vals[0]:.3g} (largest magnitude {scale:.3g})"
+        )
+
+
 def _stagnation_flag(history, window):
     if window <= 0 or len(history) < window:
         return False
@@ -246,21 +277,19 @@ def gcg_solve(a, b=None, config=None):
 
     v = mv_new(n, sx + 2 * bs)
     lam = np.zeros(sx + 2 * bs)
-    mv_set_random(v[:, :sx], cfg.seed)
-    out = recursive_orth_svd(v, 1, sx, b=b_op, cfg=ocfg)
-    total_red = out.reduction_count
-    if out.num_kept < sx:
-        mv_set_random(v[:, out.num_kept : sx], cfg.seed + 9973)
-        out = recursive_orth_svd(v, 1, sx, b=b_op, cfg=ocfg)
-        total_red += out.reduction_count
-        if out.num_kept < sx:
-            raise AllDependent("could not build a full-rank starting block")
+    try:
+        total_red = _starting_block(v, sx, b_op, ocfg, cfg.seed)
+    except AllDependent:
+        if b_op is not None:
+            _check_b_definite(b_op, sx, cfg.seed, ocfg.dependence_tol)
+        raise
 
     locked = 0                 # converged columns of the current X block
     np_, nw = 0, 0             # current P / W widths
     abar_prev = None           # previous projected matrix (None => assemble naively)
     p_coupling = None          # phat' Abar_prev phat, for the P block
     store_x, store_vals = [], []   # moving-window spillover
+    shift_op, shift_theta = None, None  # inner-solve operator, rebuilt per theta
     history = []
     max_m = 0
     status = "max_iterations"
@@ -363,7 +392,7 @@ def gcg_solve(a, b=None, config=None):
         timer.lap("t_step4")
 
         theta = select_shift(cfg.shift_mode, lam, locked, store_vals)
-        cg_iters = 0
+        cg_iters = cg_conv = cg_frozen = 0
         if not refilled:
             if compacted:
                 bs_eff = max(1, min(bs, ne - stored, sx))
@@ -388,11 +417,16 @@ def gcg_solve(a, b=None, config=None):
             lam_act = lam[locked : locked + bs_eff]
             bx_act = b_op.apply(x_act) if b_op is not None else x_act.copy()
             rhs = np.asfortranarray(bx_act * (lam_act - theta))
-            op = a if theta == 0.0 else ShiftedOperator(a, b_op, theta)
+            if theta != shift_theta:
+                shift_op = None   # free the old assembled matrix first
+                shift_op = a if theta == 0.0 else ShiftedOperator(a, b_op, theta)
+                shift_theta = theta
             w_raw, cg_rep = block_cg(
-                op, rhs, x0=x_act, max_iters=cfg.cg_max_iters, rel_tol=cfg.cg_rel_tol
+                shift_op, rhs, x0=x_act, max_iters=cfg.cg_max_iters, rel_tol=cfg.cg_rel_tol
             )
             cg_iters = cg_rep.iterations
+            cg_conv = int(cg_rep.converged.sum())
+            cg_frozen = int(cg_rep.frozen.sum())
             timer.lap("t_step6")
 
             w_region = v[:, sx + np_ : sx + np_ + bs_eff]
@@ -441,6 +475,8 @@ def gcg_solve(a, b=None, config=None):
                     timer.marks,
                     basis_defect,
                     abar_defect,
+                    cg_conv,
+                    cg_frozen,
                 )
             )
 

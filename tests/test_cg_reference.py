@@ -1,0 +1,180 @@
+"""Block CG on a compacted active prefix against the fancy-index reference.
+
+``reference_block_cg`` is the earlier implementation, which gathered the
+active columns with fancy indexing on every sweep.  The compacted sweep does
+the same arithmetic on the same data, so on the solver's path (``x0`` given,
+no preconditioner) it must agree bit for bit.  Elsewhere the reference keeps
+its residual in C order, where einsum rounds differently, so agreement is to
+1e-13 relative with the same per-column outcome.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse
+
+from gcgeig.cg import CgReport, block_cg
+from gcgeig.operators import CsrOperator, DenseOperator, DiagonalOperator, ShiftedOperator
+
+
+def _col_dots(x, y):
+    return np.einsum("ij,ij->j", x, y)
+
+
+def reference_block_cg(op, rhs, x0=None, max_iters=30, rel_tol=0.01, precond=None):
+    rhs = np.asfortranarray(rhs, dtype=np.float64)
+    n, k = rhs.shape
+    if x0 is None:
+        x = np.zeros((n, k), order="F")
+        r = rhs.copy()
+    else:
+        x = np.array(x0, dtype=np.float64, order="F")
+        r = rhs - op.apply(x)
+
+    rn0 = np.sqrt(_col_dots(r, r))
+    target = rel_tol * rn0
+    converged = rn0 <= target
+    frozen = np.zeros(k, dtype=bool)
+    rn = rn0.copy()
+
+    z = precond(r) if precond is not None else r.copy()
+    p = z.copy()
+    rz = _col_dots(r, z)
+    sweeps = 0
+
+    for _ in range(max_iters):
+        idx = np.flatnonzero(~converged & ~frozen)
+        if idx.size == 0:
+            break
+        sweeps += 1
+        pb = np.asfortranarray(p[:, idx])
+        qb = op.apply(pb)
+        den = _col_dots(pb, qb)
+        bad = den <= 0.0
+        if np.any(bad):
+            frozen[idx[bad]] = True
+            idx = idx[~bad]
+            if idx.size == 0:
+                continue
+            pb = pb[:, ~bad]
+            qb = qb[:, ~bad]
+            den = den[~bad]
+        alpha = rz[idx] / den
+        x[:, idx] += pb * alpha
+        r[:, idx] -= qb * alpha
+        rn[idx] = np.sqrt(_col_dots(r[:, idx], r[:, idx]))
+        done = rn[idx] <= target[idx]
+        converged[idx[done]] = True
+        idx = idx[~done]
+        if idx.size == 0:
+            continue
+        zb = precond(r[:, idx]) if precond is not None else r[:, idx]
+        rz_new = _col_dots(r[:, idx], zb)
+        beta = rz_new / rz[idx]
+        p[:, idx] = zb + p[:, idx] * beta
+        rz[idx] = rz_new
+
+    safe = np.where(rn0 > 0.0, rn0, 1.0)
+    return x, CgReport(sweeps, converged, frozen, rn / safe)
+
+
+def _laplacian(n):
+    off = -np.ones(n - 1)
+    return scipy.sparse.diags([off, 2.0 * np.ones(n), off], [-1, 0, 1], format="csr")
+
+
+def _operator(kind, n, rng):
+    if kind == "csr":
+        return CsrOperator(_laplacian(n))
+    if kind == "shifted-csr":
+        b = scipy.sparse.diags(rng.uniform(0.5, 1.5, n), format="csr")
+        return ShiftedOperator(CsrOperator(_laplacian(n)), CsrOperator(b), 0.01)
+    if kind == "indefinite-diag":
+        # a few negative entries freeze the columns that see them
+        d = rng.uniform(0.5, 20.0, n)
+        d[rng.choice(n, 3, replace=False)] *= -1.0
+        return DiagonalOperator(d)
+    if kind == "dense":
+        m = rng.standard_normal((n, n))
+        return DenseOperator(m @ m.T / n + np.diag(rng.uniform(0.1, 5.0, n)))
+    raise ValueError(kind)
+
+
+def _case(seed):
+    """A seeded problem: widths 1-6, columns with spread-out stopping sweeps,
+    some zero right-hand sides, and caps from 1 to 30 sweeps."""
+    rng = np.random.default_rng(seed)
+    kinds = ("csr", "shifted-csr", "indefinite-diag", "dense")
+    kind = kinds[seed % len(kinds)]
+    n = int(rng.integers(20, 60))
+    k = int(rng.integers(1, 7))
+    op = _operator(kind, n, rng)
+    rhs = rng.standard_normal((n, k))
+    # smooth columns converge in a few sweeps, rough ones take many
+    rhs *= np.linspace(1.0, 0.05, n)[:, None] ** rng.integers(0, 4, k)
+    if k > 1 and rng.random() < 0.3:
+        rhs[:, rng.integers(k)] = 0.0
+    x0 = rng.standard_normal((n, k)) * 0.1
+    if rng.random() < 0.2:
+        x0[:, rng.integers(k)] = 0.0
+    max_iters = int(rng.integers(1, 31))
+    rel_tol = float(10.0 ** rng.uniform(-8, -1))
+    return op, np.asfortranarray(rhs), np.asfortranarray(x0), max_iters, rel_tol
+
+
+def _assert_same_outcome(rep, ref):
+    assert rep.iterations == ref.iterations
+    np.testing.assert_array_equal(rep.converged, ref.converged)
+    np.testing.assert_array_equal(rep.frozen, ref.frozen)
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_bit_identical_on_the_solver_path(seed):
+    op, rhs, x0, max_iters, rel_tol = _case(seed)
+    x, rep = block_cg(op, rhs, x0=x0, max_iters=max_iters, rel_tol=rel_tol)
+    x_ref, ref = reference_block_cg(op, rhs, x0=x0, max_iters=max_iters, rel_tol=rel_tol)
+    _assert_same_outcome(rep, ref)
+    np.testing.assert_array_equal(x, x_ref)
+    np.testing.assert_array_equal(rep.relative_residuals, ref.relative_residuals)
+    assert x.flags.f_contiguous
+
+
+def _jacobi(op):
+    inv = 1.0 / np.abs(op.diagonal())
+    return lambda r: r * inv[:, None]
+
+
+@pytest.mark.parametrize("seed", range(60))
+@pytest.mark.parametrize("start", ["zero", "x0-precond"])
+def test_close_without_x0_or_with_preconditioner(seed, start):
+    op, rhs, x0, max_iters, rel_tol = _case(seed)
+    kw = dict(max_iters=max_iters, rel_tol=rel_tol)
+    if start == "x0-precond":
+        kw.update(x0=x0, precond=_jacobi(op))
+    x, rep = block_cg(op, rhs, **kw)
+    x_ref, ref = reference_block_cg(op, rhs, **kw)
+    _assert_same_outcome(rep, ref)
+    scale = max(float(np.abs(x_ref).max()), 1e-300)
+    assert float(np.abs(x - x_ref).max()) <= 1e-13 * scale
+    np.testing.assert_allclose(rep.relative_residuals, ref.relative_residuals, rtol=1e-13, atol=1e-15)
+    assert x.flags.f_contiguous
+
+
+def _stop_sweep(op, rhs, x0, max_iters, rel_tol, j):
+    """Sweep at which column j stops when solved alone, None if it runs out."""
+    _, rep = block_cg(op, rhs[:, [j]], x0=x0[:, [j]], max_iters=max_iters, rel_tol=rel_tol)
+    return rep.iterations if rep.converged[0] or rep.frozen[0] else None
+
+
+def test_battery_exercises_every_path():
+    """The seeded cases freeze columns, stop columns at different sweeps,
+    run into the cap, and carry zero right-hand sides."""
+    frozen = staggered = capped = zero = 0
+    for seed in range(120):
+        op, rhs, x0, max_iters, rel_tol = _case(seed)
+        _, rep = block_cg(op, rhs, x0=x0, max_iters=max_iters, rel_tol=rel_tol)
+        stops = {_stop_sweep(op, rhs, x0, max_iters, rel_tol, j) for j in range(rhs.shape[1])}
+        frozen += bool(rep.frozen.any())
+        staggered += len(stops - {None}) >= 2
+        capped += rep.iterations == max_iters
+        zero += bool((np.abs(rhs).max(axis=0) == 0.0).any())
+    assert min(frozen, staggered, capped, zero) >= 20

@@ -27,7 +27,7 @@ def test_builtin_laplacian_converges_with_analytic_values(capsys):
     assert len(record["eigenvalues"]) == 5
     ref = [2.0 - 2.0 * math.cos(k * math.pi / 101.0) for k in range(1, 6)]
     assert np.abs(np.array(record["eigenvalues"]) - ref).max() <= 1e-10
-    assert record["schema_version"] == 1
+    assert record["schema_version"] == 2
     assert record["nnz_a"] == 100 + 2 * 99
 
 

@@ -303,6 +303,19 @@ def test_history_json_and_csv_agree(tmp_path):
             assert float(cell) == row[col]
 
 
+def test_history_reports_inner_cg_outcome():
+    """cg_converged and cg_frozen carry block_cg's per-call column counts."""
+    rep = gcg_solve(np.diag(np.arange(1.0, 41.0)), config=SolverConfig(num_eigen=6, seed=2))
+    rows = history_rows(rep)
+    assert [r["cg_converged"] for r in rows] == [h.cg_converged for h in rep.history]
+    assert [r["cg_frozen"] for r in rows] == [h.cg_frozen for h in rep.history]
+    assert sum(r["cg_converged"] for r in rows) > 0
+    for row in rows:
+        assert row["cg_converged"] + row["cg_frozen"] <= 2   # block size ceil(6/5)
+        if row["cg_iters"] == 0:
+            assert row["cg_converged"] == row["cg_frozen"] == 0
+
+
 def test_history_unknown_format(tmp_path):
     with pytest.raises(Unsupported):
         write_history(_small_report(), str(tmp_path / "h.xml"), format="xml")
@@ -319,7 +332,7 @@ def test_run_record_roundtrip():
     rec = RunRecord.from_run(rep, config, wall_time=1.25, nnz_a=10)
     back = RunRecord.from_json(rec.to_json())
     assert back == rec
-    assert rec.schema_version == 1
+    assert rec.schema_version == 2
     assert rec.nnz_a == 10 and rec.nnz_b is None
     assert rec.wall_time == 1.25
     assert rec.history == history_rows(rep)

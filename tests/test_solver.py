@@ -6,7 +6,7 @@ import scipy.linalg
 import scipy.sparse
 
 from gcgeig import SolverConfig, gcg_solve
-from gcgeig.errors import InvalidShape
+from gcgeig.errors import InvalidMatrix, InvalidShape
 from gcgeig.solver import _build_p, moving_memory_budget, select_shift
 
 TRIDIAG = lambda n: scipy.sparse.diags(
@@ -230,3 +230,14 @@ def test_report_metadata():
     assert rep.eigenvectors.shape == (15, 3)
     assert rep.eigenvalues.shape == (3,)
     assert rep.residuals.shape == (3,)
+
+
+def test_indefinite_b_raises_invalid_matrix():
+    """A symmetric indefinite B is reported as such, not as a dependent
+    starting block."""
+    rng = np.random.default_rng(11)
+    m = rng.standard_normal((50, 50))
+    b = (m + m.T) / 2.0
+    a = np.diag(np.arange(1.0, 51.0))
+    with pytest.raises(InvalidMatrix, match="B is not positive definite"):
+        gcg_solve(a, b, SolverConfig(num_eigen=3))

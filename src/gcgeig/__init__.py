@@ -36,7 +36,7 @@ from .io import (
 )
 from .orth import OrthConfig, OrthOutcome, modified_block_orth, orth_against, recursive_orth_svd
 from .solver import SolverConfig, SolverReport, gcg_solve, moving_memory_budget
-from . import _kernels as kernels
+from . import kernels
 
 __version__ = "0.1.0"
 

@@ -8,13 +8,12 @@ its own exit 2 for malformed flag syntax).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 
 from .errors import GcgError
 from .io import GENERATOR_NAMES, RunRecord, generate_builtin, read_matrix_market, write_history
-from .solver import SolverConfig, gcg_solve
+from .solver import SolverConfig, gcg_solve, resolve_block_sizes
 
 EXIT_CONVERGED = 0
 EXIT_ERROR = 1
@@ -62,7 +61,8 @@ def build_parser():
     run.add_argument(
         "--deterministic",
         action="store_true",
-        help="bit-reproducible run: fixed reduction order, zeroed timings",
+        help="run record repeatable at a fixed BLAS thread count: "
+        "fixed reduction order, zeroed timings",
     )
 
     out = p.add_argument_group("output")
@@ -79,29 +79,6 @@ def build_parser():
         help="history file format (default csv)",
     )
     return p
-
-
-def _resolved_config(args, n):
-    """The exact parameter values the solver will use, flag defaults filled in."""
-    ne = args.num_eigen
-    bs = args.block_size if args.block_size is not None else max(1, math.ceil(ne / 5))
-    bs = min(bs, n)
-    moving = args.moving == "on"
-    size_x = min(3 * bs, n) if moving else min(max(ne + 3 * bs, ne), n)
-    return {
-        "n": n,
-        "num_eigen": ne,
-        "tol": args.tol,
-        "block_size": bs,
-        "size_x": size_x,
-        "shift": args.shift,
-        "cg_max_iters": args.cg_max_iters,
-        "cg_rel_tol": args.cg_rel_tol,
-        "moving": moving,
-        "max_iters": args.max_iters,
-        "seed": args.seed,
-        "deterministic": args.deterministic,
-    }
 
 
 def run_cli(argv=None):
@@ -126,19 +103,34 @@ def run_cli(argv=None):
             a = read_matrix_market(args.matrix_a)
             b = read_matrix_market(args.matrix_b) if args.matrix_b else None
 
-        config = _resolved_config(args, a.dim)
         solver_cfg = SolverConfig(
-            num_eigen=config["num_eigen"],
-            tol=config["tol"],
-            block_size=config["block_size"],
-            max_gcg_iters=config["max_iters"],
-            cg_max_iters=config["cg_max_iters"],
-            cg_rel_tol=config["cg_rel_tol"],
-            shift_mode=config["shift"],
-            moving=config["moving"],
-            seed=config["seed"],
-            deterministic=config["deterministic"],
+            num_eigen=args.num_eigen,
+            tol=args.tol,
+            block_size=args.block_size,
+            max_gcg_iters=args.max_iters,
+            cg_max_iters=args.cg_max_iters,
+            cg_rel_tol=args.cg_rel_tol,
+            shift_mode=args.shift,
+            moving=args.moving == "on",
+            seed=args.seed,
+            deterministic=args.deterministic,
         )
+        block_size, size_x = resolve_block_sizes(solver_cfg, a.dim)
+        # the exact parameter values the solver uses, for the run record
+        config = {
+            "n": a.dim,
+            "num_eigen": args.num_eigen,
+            "tol": args.tol,
+            "block_size": block_size,
+            "size_x": size_x,
+            "shift": args.shift,
+            "cg_max_iters": args.cg_max_iters,
+            "cg_rel_tol": args.cg_rel_tol,
+            "moving": solver_cfg.moving,
+            "max_iters": args.max_iters,
+            "seed": args.seed,
+            "deterministic": args.deterministic,
+        }
 
         start = time.perf_counter()
         report = gcg_solve(a, b, config=solver_cfg)

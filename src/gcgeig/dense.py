@@ -13,7 +13,6 @@ These routines handle the projected (small, dense) problems.  Conventions:
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,16 +20,7 @@ import scipy.linalg
 
 from .errors import InvalidMatrix, InvalidRange, InvalidShape, NoConvergence
 
-__all__ = [
-    "SpectralDecomposition",
-    "sym_eig_full",
-    "sym_eig_range",
-    "gram_svd",
-    "dense_gemm",
-]
-
-# Pairs below this count are not worth a thread of their own.
-_MIN_PAIRS_PER_WORKER = 10
+__all__ = ["SpectralDecomposition", "sym_eig_full", "sym_eig_range", "gram_svd"]
 
 
 @dataclass
@@ -53,13 +43,6 @@ def _check_sym(m, name="matrix"):
     return m
 
 
-def _check_tol(tol):
-    # LAPACK already iterates to machine precision; the knob is accepted for
-    # interface stability and validated, values below eps behave as eps.
-    if tol is not None and not tol > 0.0:
-        raise InvalidMatrix(f"tolerance must be positive, got {tol}")
-
-
 def _fix_signs(vectors):
     """Flip each column so its largest-magnitude entry is positive."""
     if vectors.size == 0:
@@ -71,50 +54,26 @@ def _fix_signs(vectors):
     return vectors
 
 
-def sym_eig_full(m, tol=None):
-    """All eigenpairs of a symmetric matrix, ascending."""
-    m = _check_sym(m)
-    _check_tol(tol)
+def _eigh(m, **kwargs):
     try:
-        vals, vecs = scipy.linalg.eigh(m)
+        vals, vecs = scipy.linalg.eigh(m, **kwargs)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise NoConvergence(str(exc)) from exc
     return SpectralDecomposition(vals, _fix_signs(np.asfortranarray(vecs)))
 
 
-def _eigh_range(m, lo, hi):
-    try:
-        vals, vecs = scipy.linalg.eigh(m, subset_by_index=[lo - 1, hi - 1])
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise NoConvergence(str(exc)) from exc
-    return vals, vecs
+def sym_eig_full(m):
+    """All eigenpairs of a symmetric matrix, ascending."""
+    return _eigh(_check_sym(m))
 
 
-def sym_eig_range(m, lo, hi, tol=None, workers=1):
-    """Eigenpairs lo..hi (1-based, inclusive) of a symmetric matrix.
-
-    ``workers > 1`` slices the index range across threads (LAPACK drops the
-    GIL); each slice keeps at least 10 pairs.  The single-thread path is the
-    reference: with degenerate eigenvalues straddling a slice boundary the
-    sliced eigenvectors are not guaranteed mutually orthogonal.
-    """
+def sym_eig_range(m, lo, hi):
+    """Eigenpairs lo..hi (1-based, inclusive) of a symmetric matrix."""
     m = _check_sym(m)
-    _check_tol(tol)
     n = m.shape[0]
     if not (1 <= lo <= hi <= n):
         raise InvalidRange(f"range {lo}..{hi} invalid for dimension {n}")
-    npairs = hi - lo + 1
-    nworkers = min(int(workers), npairs // _MIN_PAIRS_PER_WORKER)
-    if nworkers > 1:
-        bounds = np.linspace(lo - 1, hi, nworkers + 1).astype(int)
-        ranges = [(a + 1, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            parts = list(pool.map(lambda r: _eigh_range(m, r[0], r[1]), ranges))
-        vals = np.concatenate([p[0] for p in parts])
-        vecs = np.hstack([p[1] for p in parts])
-    else:
-        vals, vecs = _eigh_range(m, lo, hi)
-    return SpectralDecomposition(vals, _fix_signs(np.asfortranarray(vecs)))
+    return _eigh(m, subset_by_index=[lo - 1, hi - 1])
 
 
 def gram_svd(m):
@@ -125,28 +84,4 @@ def gram_svd(m):
     are reported as-is; deciding what counts as dependent is the caller's
     business.
     """
-    m = _check_sym(m, "gram matrix")
-    try:
-        vals, vecs = scipy.linalg.eigh(m)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise NoConvergence(str(exc)) from exc
-    return SpectralDecomposition(vals, _fix_signs(np.asfortranarray(vecs)))
-
-
-def dense_gemm(alpha, a, b, beta, c):
-    """c <- alpha * a @ b + beta * c, updating and returning ``c``."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2 or c.ndim != 2:
-        raise InvalidShape("dense_gemm operands must be 2-D")
-    if a.shape[1] != b.shape[0] or c.shape != (a.shape[0], b.shape[1]):
-        raise InvalidShape(
-            f"incompatible shapes {a.shape} @ {b.shape} -> {c.shape}"
-        )
-    prod = a @ b
-    if beta == 0.0:
-        c[...] = 0.0
-    else:
-        c *= beta
-    c += alpha * prod
-    return c
+    return _eigh(_check_sym(m, "gram matrix"))

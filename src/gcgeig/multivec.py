@@ -2,30 +2,20 @@
 
 A multivector is a float64 ndarray of shape (dim, num_cols) in Fortran
 (column-major) order: each column is contiguous and column slices alias the
-parent storage, so sub-blocks can be updated in place.  Column ranges are
-0-based half-open tuples ``(start, stop)``; ``None`` means all columns.
+parent storage, so sub-blocks can be updated in place.
 
 Inner products can run in a deterministic mode that folds fixed-length row
-chunks in a fixed order, making the result bit-stable across runs; the
-price is roughly one extra pass over memory.
+chunks in a fixed order, making the result bit-stable across runs at a fixed
+BLAS thread count; the price is roughly one extra pass over memory.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import _kernels as kernels
 from .errors import InvalidShape
 
-__all__ = [
-    "REDUCE_CHUNK_ROWS",
-    "mv_new",
-    "mv_create_like",
-    "mv_set_random",
-    "mv_axpby",
-    "mat_dot_mv",
-    "mv_inner_prod",
-]
+__all__ = ["REDUCE_CHUNK_ROWS", "mv_new", "mv_set_random", "mv_inner_prod"]
 
 # Row-chunk length for the deterministic fixed-order reduction.
 REDUCE_CHUNK_ROWS = 8192
@@ -37,12 +27,6 @@ def mv_new(dim, num_cols):
     return np.zeros((dim, num_cols), dtype=np.float64, order="F")
 
 
-def mv_create_like(x, num_cols=None):
-    """A zeroed block with the same row dimension as ``x``."""
-    k = x.shape[1] if num_cols is None else int(num_cols)
-    return mv_new(x.shape[0], k)
-
-
 def mv_set_random(x, seed):
     """Fill ``x`` with i.i.d. uniform(-1, 1) entries from PCG64(seed)."""
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -50,63 +34,27 @@ def mv_set_random(x, seed):
     return x
 
 
-def _cols(x, cols):
-    if cols is None:
-        return x
-    start, stop = cols
-    if not (0 <= start <= stop <= x.shape[1]):
-        raise InvalidShape(f"column range {cols} invalid for width {x.shape[1]}")
-    return x[:, start:stop]
-
-
-def mv_axpby(alpha, x, beta, y, x_cols=None, y_cols=None):
-    """y[:, y_cols] <- alpha * x[:, x_cols] + beta * y[:, y_cols].
-
-    beta == 0 overwrites (no read of y).  The two column ranges must either
-    coincide in storage or not overlap at all.
-    """
-    xs = _cols(x, x_cols)
-    ys = _cols(y, y_cols)
-    if xs.shape != ys.shape:
-        raise InvalidShape(f"axpby shapes differ: {xs.shape} vs {ys.shape}")
-    kernels.axpby(float(alpha), xs, float(beta), ys)
-    return ys
-
-
-def mat_dot_mv(op, x, cols=None, out=None):
-    """Apply an operator to (a column range of) a multivector."""
-    xs = _cols(x, cols)
-    if op.dim != xs.shape[0]:
-        raise InvalidShape(f"operator dim {op.dim} vs multivector dim {xs.shape[0]}")
-    return op.apply(xs, out=out)
-
-
-def mv_inner_prod(
-    x,
-    y,
-    b=None,
-    out=None,
-    x_cols=None,
-    y_cols=None,
-    deterministic=False,
-    chunk=REDUCE_CHUNK_ROWS,
-):
+def mv_inner_prod(x, y, b=None, out=None, deterministic=False, chunk=REDUCE_CHUNK_ROWS):
     """Gram block out[r, c] = <x_r, B y_c> written straight into ``out``.
 
     ``out`` may be any strided 2-D view (for example a submatrix of a larger
     projected matrix); only the viewed entries are written and no workspace
     larger than the view is used by the reduction itself.
     """
-    xs = _cols(x, x_cols)
-    ys = _cols(y, y_cols)
-    if xs.shape[0] != ys.shape[0]:
-        raise InvalidShape(f"row dims differ: {xs.shape[0]} vs {ys.shape[0]}")
+    if x.shape[0] != y.shape[0]:
+        raise InvalidShape(f"row dims differ: {x.shape[0]} vs {y.shape[0]}")
     if out is None:
-        out = np.zeros((xs.shape[1], ys.shape[1]), dtype=np.float64, order="F")
-    elif out.shape != (xs.shape[1], ys.shape[1]):
-        raise InvalidShape(
-            f"out shape {out.shape} != ({xs.shape[1]}, {ys.shape[1]})"
-        )
-    by = ys if b is None else b.apply(ys)
-    kernels.inner_product(xs, by, out, int(chunk), bool(deterministic))
+        out = np.zeros((x.shape[1], y.shape[1]), dtype=np.float64, order="F")
+    elif out.shape != (x.shape[1], y.shape[1]):
+        raise InvalidShape(f"out shape {out.shape} != ({x.shape[1]}, {y.shape[1]})")
+    by = y if b is None else b.apply(y)
+    n = x.shape[0]
+    if not deterministic or chunk <= 0 or chunk >= n:
+        np.matmul(x.T, by, out=out)
+        return out
+    # fixed-order fold over row chunks: bit-stable across runs
+    out[...] = 0.0
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        out += x[start:stop].T @ by[start:stop]
     return out

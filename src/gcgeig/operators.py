@@ -7,12 +7,9 @@ combination A - theta*B used by the inner solves.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 import scipy.sparse
 
-from . import _kernels as kernels
 from .errors import InvalidMatrix, InvalidShape, Unsupported
 
 __all__ = [
@@ -100,13 +97,6 @@ class CsrOperator(LinearOperator):
         op._sp = sp
         return op
 
-    @functools.cached_property
-    def _kernel_arrays(self):
-        """indptr, indices and data in the dtypes the compiled kernel takes;
-        built on first use, so the numpy backend never holds the copies."""
-        sp = self._sp
-        return sp.indptr.astype(np.int64), sp.indices.astype(np.int64), sp.data.astype(np.float64)
-
     @property
     def nnz(self):
         return int(self._sp.nnz)
@@ -117,12 +107,10 @@ class CsrOperator(LinearOperator):
 
     def apply(self, x, out=None):
         out = self._out(x, out)
-        if kernels.backend_name() == "compiled":
-            x = np.asfortranarray(x, dtype=np.float64)
-            kernels.csr_matvec(*self._kernel_arrays, x, out)
-        else:
-            for j in range(x.shape[1]):
-                out[:, j] = self._sp @ x[:, j]
+        # one column at a time: a block product is slower on the narrow
+        # F-order blocks of the inner solves
+        for j in range(x.shape[1]):
+            out[:, j] = self._sp @ x[:, j]
         return out
 
     def diagonal(self):

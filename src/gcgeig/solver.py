@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
+from . import kernels
 from .cg import block_cg
 from .dense import gram_svd, sym_eig_full, sym_eig_range
 from .errors import AllDependent, InvalidMatrix, InvalidShape
@@ -46,6 +46,7 @@ __all__ = [
     "IterationRecord",
     "SolverReport",
     "gcg_solve",
+    "resolve_block_sizes",
     "select_shift",
     "moving_memory_budget",
 ]
@@ -110,6 +111,20 @@ def moving_memory_budget(size_x, block_size):
     keeps per process, beyond the n-by-column vector blocks themselves."""
     mpd = size_x + 2 * block_size
     return (size_x + 2 * block_size) + 2 * mpd * mpd + 10 * mpd + size_x * block_size
+
+
+def resolve_block_sizes(config, n):
+    """The ``(block_size, size_x)`` a solve of dimension ``n`` works with,
+    defaults filled in; the moving window ignores ``size_x``."""
+    ne = int(config.num_eigen)
+    if not (1 <= ne <= n):
+        raise InvalidShape(f"num_eigen must be in 1..{n}, got {ne}")
+    bs = config.block_size if config.block_size is not None else max(1, math.ceil(ne / 5))
+    bs = min(bs, n)
+    if config.moving:
+        return bs, min(3 * bs, n)
+    sx = config.size_x if config.size_x is not None else min(ne + 3 * bs, n)
+    return bs, min(max(sx, ne), n)
 
 
 def select_shift(mode, lam, num_locked, store_vals=()):
@@ -263,15 +278,7 @@ def gcg_solve(a, b=None, config=None):
     if b_op is not None and b_op.dim != n:
         raise InvalidShape(f"B dim {b_op.dim} != A dim {n}")
     ne = int(cfg.num_eigen)
-    if not (1 <= ne <= n):
-        raise InvalidShape(f"num_eigen must be in 1..{n}, got {ne}")
-    bs = cfg.block_size if cfg.block_size is not None else max(1, math.ceil(ne / 5))
-    bs = min(bs, n)
-    if cfg.moving:
-        sx = min(3 * bs, n)
-    else:
-        sx = cfg.size_x if cfg.size_x is not None else min(ne + 3 * bs, n)
-        sx = min(max(sx, ne), n)
+    bs, sx = resolve_block_sizes(cfg, n)
     ocfg = cfg.orth
     det = cfg.deterministic
 
@@ -518,5 +525,5 @@ def gcg_solve(a, b=None, config=None):
         stagnated=_stagnation_flag(history, cfg.stall_window),
         max_projection_dim=max_m,
         total_reductions=total_red,
-        backend=_kernels.backend_name(),
+        backend=kernels.backend_name(),
     )

@@ -1,17 +1,6 @@
 import numpy as np
 import pytest
 
-from gcgeig import _kernels as kernels
-
-
-@pytest.fixture(params=kernels.available_backends())
-def backend(request):
-    """Run a test under each available kernel backend."""
-    previous = kernels.backend_name()
-    kernels.use_backend(request.param)
-    yield request.param
-    kernels.use_backend(previous)
-
 
 @pytest.fixture
 def rng():

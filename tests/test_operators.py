@@ -37,13 +37,25 @@ class TestApply:
         x = np.asfortranarray(rng.standard_normal((10, 3)))
         assert np.abs(DenseOperator(a).apply(x) - a @ x).max() < 1e-12
 
-    def test_csr(self, backend, rng):
-        n = 25
-        tri = scipy.sparse.diags(
-            [-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1]
-        ).tocsr()
+    @pytest.mark.parametrize("kind", ["tridiag", "random"])
+    def test_csr(self, rng, kind):
+        if kind == "tridiag":
+            n, tol = 25, 1e-13
+            dense = scipy.sparse.diags(
+                [-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1]
+            ).toarray()
+        else:
+            n, tol = 40, 1e-12
+            dense = np.zeros((n, n))
+            for _ in range(120):
+                i, j = rng.integers(0, n, size=2)
+                w = rng.standard_normal()
+                dense[i, j] += w
+                dense[j, i] += w
         x = np.asfortranarray(rng.standard_normal((n, 4)))
-        assert np.abs(CsrOperator(tri).apply(x) - tri @ x).max() < 1e-13
+        got = CsrOperator(scipy.sparse.csr_matrix(dense)).apply(x)
+        assert np.abs(got - dense @ x).max() < tol
+        assert got.flags.f_contiguous
 
     def test_diagonal(self, rng):
         d = rng.uniform(0.5, 2.0, 8)
@@ -157,7 +169,7 @@ class TestShiftedAssembly:
         op.apply = apply
         return calls
 
-    def test_csr_pair_is_one_product(self, backend, rng):
+    def test_csr_pair_is_one_product(self, rng):
         a, b = self._csr_pair(rng)
         x = np.asfortranarray(rng.standard_normal((a.dim, 3)))
         theta = 1.7
@@ -181,29 +193,6 @@ class TestShiftedAssembly:
         a, b = self._csr_pair(rng)
         x = np.asfortranarray(rng.standard_normal((a.dim, 2)))
         np.testing.assert_array_equal(ShiftedOperator(a, b, 0.0).apply(x), a.apply(x))
-
-    def test_compiled_branch_takes_int64_arrays(self, monkeypatch, rng):
-        """The kernel arrays are built on first use, for an assembled
-        combination as for a validated CSR operator.  The kernel is stood in
-        for by its numpy version, which takes the same arguments."""
-        from gcgeig import _kernels
-        from gcgeig._kernels import _numpy_impl
-
-        a, b = self._csr_pair(rng)
-        x = np.asfortranarray(rng.standard_normal((a.dim, 2)))
-        expect = [a.apply(x), ShiftedOperator(a, b, 1.7).apply(x)]
-        seen = []
-
-        def kernel(indptr, indices, data, xx, out):
-            seen.append((indptr.dtype, indices.dtype, data.dtype))
-            return _numpy_impl.csr_matvec(indptr, indices, data, xx, out)
-
-        monkeypatch.setattr(_kernels, "backend_name", lambda: "compiled")
-        monkeypatch.setattr(_kernels, "csr_matvec", kernel)
-        got = [a.apply(x), ShiftedOperator(a, b, 1.7).apply(x)]
-        assert seen == [(np.int64, np.int64, np.float64)] * 2
-        for g, e in zip(got, expect):
-            np.testing.assert_array_equal(g, e)
 
     @pytest.mark.parametrize("kind", ["dense-diag", "dense-dense", "csr-diag", "csr-none"])
     def test_other_paths_bit_identical(self, rng, kind):

@@ -1,13 +1,17 @@
 """End-to-end and unit coverage for the block eigensolver."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
 
-from gcgeig import SolverConfig, gcg_solve
+import gcgeig.solver
+from gcgeig import LinearOperator, SolverConfig, gcg_solve
+from gcgeig.cli import run_cli
 from gcgeig.errors import InvalidMatrix, InvalidShape
-from gcgeig.solver import _build_p, moving_memory_budget, select_shift
+from gcgeig.solver import _build_p, moving_memory_budget, resolve_block_sizes, select_shift
 
 TRIDIAG = lambda n: scipy.sparse.diags(
     [-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1], format="csr"
@@ -226,7 +230,7 @@ def test_report_metadata():
     rep = gcg_solve(
         np.diag(np.arange(1.0, 16.0)), config=SolverConfig(num_eigen=3, seed=18)
     )
-    assert rep.backend in ("compiled", "numpy")
+    assert rep.backend == "numpy"
     assert rep.eigenvectors.shape == (15, 3)
     assert rep.eigenvalues.shape == (3,)
     assert rep.residuals.shape == (3,)
@@ -241,3 +245,64 @@ def test_indefinite_b_raises_invalid_matrix():
     a = np.diag(np.arange(1.0, 51.0))
     with pytest.raises(InvalidMatrix, match="B is not positive definite"):
         gcg_solve(a, b, SolverConfig(num_eigen=3))
+
+
+# (n, num_eigen, block_size, size_x, moving) -> resolved (block_size, size_x)
+_SIZE_EDGES = {
+    "ne-eq-n": ((10, 10, None, None, False), (2, 10)),
+    "ne-eq-n-moving": ((10, 10, None, None, True), (2, 6)),
+    "bs-gt-n": ((10, 3, 50, None, False), (10, 10)),
+    "bs-gt-n-moving": ((10, 3, 50, None, True), (10, 10)),
+    "sx-lt-ne": ((40, 11, None, 2, False), (3, 11)),
+    "sx-lt-ne-moving": ((40, 11, None, 2, True), (3, 9)),   # moving ignores size_x
+    "defaults": ((100, 12, None, None, False), (3, 21)),
+}
+
+
+@pytest.mark.parametrize("case, expect", _SIZE_EDGES.values(), ids=_SIZE_EDGES.keys())
+def test_block_sizes_resolve_at_the_edges(monkeypatch, capsys, case, expect):
+    """resolve_block_sizes, the sizes the solver works with and the CLI's
+    recorded config agree with the pinned values; the first block the solver
+    allocates is sx + 2*bs wide and its first projection spans sx columns."""
+    n, ne, bs, sx, moving = case
+    widths = []
+    real_new = gcgeig.solver.mv_new
+
+    def spy(dim, cols):
+        widths.append(cols)
+        return real_new(dim, cols)
+
+    monkeypatch.setattr(gcgeig.solver, "mv_new", spy)
+    cfg = SolverConfig(num_eigen=ne, block_size=bs, size_x=sx, moving=moving, seed=1)
+    assert resolve_block_sizes(cfg, n) == expect
+    rep = gcg_solve(np.diag(np.arange(1.0, n + 1.0)), config=cfg)
+    assert rep.history[0].basis_size == expect[1]
+    assert widths[0] == expect[1] + 2 * expect[0]
+    if sx is None:
+        argv = ["--builtin", "diag-range", "--n", str(n), "--num-eigen", str(ne)]
+        argv += [] if bs is None else ["--block-size", str(bs)]
+        argv += ["--moving", "on" if moving else "off"]
+        run_cli(argv)
+        record = json.loads(capsys.readouterr().out)
+        assert (record["config"]["block_size"], record["config"]["size_x"]) == expect
+
+
+def test_linear_operator_subclass_is_solved():
+    """The extension path the README documents: subclass LinearOperator,
+    pass the dimension to its constructor and implement apply(x, out=None)."""
+    class Diag(LinearOperator):
+        def __init__(self, d):
+            super().__init__(d.size)
+            self.d = d
+
+        def apply(self, x, out=None):
+            y = self.d[:, None] * x
+            if out is None:
+                return y
+            out[...] = y
+            return out
+
+    rep = gcg_solve(Diag(np.arange(1.0, 51.0)), config=SolverConfig(num_eigen=3, seed=2))
+    assert rep.status == "converged"
+    np.testing.assert_allclose(rep.eigenvalues, [1.0, 2.0, 3.0], rtol=0, atol=1e-8)
+    assert rep.residuals.max() < 1e-8

@@ -46,11 +46,7 @@ HISTORY_COLUMNS = (
     "cg_iters",
     "cg_converged",
     "cg_frozen",
-    "t_step2",
-    "t_step3",
-    "t_step4",
-    "t_step5",
-    "t_step6",
+    *_TIMING_KEYS,
     "orth_reductions",
 )
 _INT_COLUMNS = frozenset(

@@ -68,7 +68,6 @@ class SolverConfig:
     seed: int = 0
     deterministic: bool = False
     orth: OrthConfig = field(default_factory=OrthConfig)
-    collect_history: bool = True
     stall_window: int = 50
     # test / diagnostics plumbing
     instrument_orth: bool = False      # measure max|V'BV - I| every iteration
@@ -269,6 +268,150 @@ class _Timer:
         self._last = now
 
 
+@dataclass
+class _Window:
+    """The live state of one solve: ``v`` holds the blocks ``[X | P | W]``
+    of widths ``sx``, ``np_``, ``nw``; ``lam`` the Ritz values of X, whose
+    first ``locked`` columns have converged; the store the emitted pairs."""
+
+    v: np.ndarray
+    lam: np.ndarray
+    sx: int
+    locked: int = 0
+    np_: int = 0
+    nw: int = 0
+    ritz: bool = False                  # X holds Ritz vectors: project structurally
+    p_coupling: np.ndarray | None = None    # phat' Abar phat, the next P block
+    store_x: list = field(default_factory=list)
+    store_vals: list = field(default_factory=list)
+    shift_op: object = None             # inner-solve operator, rebuilt per theta
+    shift_theta: float | None = None
+
+    @property
+    def stored(self):
+        return sum(len(vals) for vals in self.store_vals)
+
+    def deflation(self):
+        """What W is kept B-orthogonal to: the store, X and P."""
+        span = self.v[:, : self.sx + self.np_]
+        if not self.store_x:
+            return span
+        return np.asfortranarray(np.hstack(self.store_x + [span]))
+
+    def lock(self, x_new, lam_new, c):
+        """Write the new Ritz block over the active X; lock X's first ``c``."""
+        self.v[:, self.locked : self.sx] = x_new
+        self.lam[self.locked : self.sx] = lam_new
+        self.locked = c
+
+
+def _project(win, a, basis, det):
+    """The projected matrix ``basis' A basis``.  Once X holds Ritz vectors
+    its block is diag(lam), the X-P block vanishes and the P block is the
+    carried coupling, so A is applied to W only."""
+    if not win.ritz:
+        abar = mv_inner_prod(basis, a.apply(basis), deterministic=det)
+    else:
+        d, np_, m = win.sx - win.locked, win.np_, basis.shape[1]
+        abar = np.zeros((m, m), order="F")
+        abar[:d, :d] = np.diag(win.lam[win.locked : win.sx])
+        if np_:
+            abar[d : d + np_, d : d + np_] = win.p_coupling
+        if win.nw:
+            cross = mv_inner_prod(basis, a.apply(basis[:, d + np_ :]), deterministic=det)
+            abar[:, d + np_ :] = cross
+            abar[d + np_ :, :] = cross.T
+    return (abar + abar.T) / 2.0
+
+
+def _slide(win, abar, basis, newly, bs, n, b_op, ocfg, seed):
+    """Moving window: emit every verified pair to the store and keep the
+    rest of the projected spectrum as the new, narrower window.  A window
+    left narrower than ``bs`` is topped up with random directions, and X
+    then no longer holds Ritz vectors.  Returns the reductions spent."""
+    full = sym_eig_full(abar)
+    x_all = np.asfortranarray(basis @ full.vectors)
+    # emitted pairs = columns locked in earlier passes plus the prefix
+    # verified just now; the projected basis only spans the unlocked part,
+    # so those two groups live in different arrays
+    lo = win.locked
+    win.store_x.append(np.asfortranarray(np.hstack([win.v[:, :lo], x_all[:, :newly]])))
+    win.store_vals.append(np.concatenate([win.lam[:lo], full.values[:newly]]))
+    win.sx = x_all.shape[1] - newly
+    win.v[:, : win.sx] = x_all[:, newly:]
+    win.lam[: win.sx] = full.values[newly:]
+    win.locked = win.np_ = win.nw = 0
+    if win.sx >= bs:
+        return 0
+    # narrow late windows can be exhausted before the wanted count is
+    # reached: refill and let the next pass project from scratch
+    win.ritz = False
+    add = min(3 * bs, n - win.stored) - win.sx
+    red = 0
+    if add > 0:
+        fresh = win.v[:, win.sx : win.sx + add]
+        mv_set_random(fresh, seed)
+        out = orth_against(fresh, win.deflation(), b=b_op, cfg=ocfg)
+        red = out.reduction_count
+        win.sx += out.num_kept
+    if win.sx <= 0:
+        raise AllDependent("moving window could not be refilled")
+    return red
+
+
+def _lock_and_momentum(win, basis, abar, x_new, dec, c, group, dep_tol):
+    """Lock the converged prefix of the new Ritz block and build the
+    momentum block P from the coefficients of the next ``group`` columns."""
+    phat = _build_p(dec.vectors, win.sx - win.locked, c - win.locked, group, dep_tol)
+    win.np_ = 0 if phat is None else phat.shape[1]
+    if win.np_:
+        win.p_coupling = phat.T @ (abar @ phat)
+        win.v[:, win.sx : win.sx + win.np_] = basis @ phat   # before lock() overwrites X
+    win.lock(x_new, dec.values, c)
+
+
+def _damp(win, a, b_op, width, theta, cfg):
+    """The damped inverse power block: a few CG sweeps on
+    ``(A - theta*B) W = B X (Lambda - theta)`` started from the active X,
+    written into the W slot.  Returns the CG report."""
+    lo = win.locked
+    x_act = np.asfortranarray(win.v[:, lo : lo + width])
+    bx_act = b_op.apply(x_act) if b_op is not None else x_act.copy()
+    rhs = np.asfortranarray(bx_act * (win.lam[lo : lo + width] - theta))
+    if theta != win.shift_theta:
+        win.shift_op = None   # free the old assembled matrix first
+        win.shift_op = a if theta == 0.0 else ShiftedOperator(a, b_op, theta)
+        win.shift_theta = theta
+    w, rep = block_cg(
+        win.shift_op, rhs, x0=x_act, max_iters=cfg.cg_max_iters, rel_tol=cfg.cg_rel_tol
+    )
+    start = win.sx + win.np_
+    win.v[:, start : start + width] = w
+    return rep
+
+
+def _orth_w(win, b_op, ocfg, width, seed):
+    """Deflate W against the store, X and P and B-orthonormalize it.  A
+    block that collapses into that span is replaced once by random
+    directions so the search still widens.  Returns the reductions spent."""
+    start = win.sx + win.np_
+    w = win.v[:, start : start + width]
+    defl = win.deflation()
+    red = win.nw = 0
+    for attempt in range(2):
+        if attempt:
+            mv_set_random(w, seed)
+        try:
+            out = orth_against(w, defl, b=b_op, cfg=ocfg)
+        except AllDependent:
+            continue
+        win.nw = out.num_kept
+        red += out.reduction_count
+        if win.nw:
+            break
+    return red
+
+
 def gcg_solve(a, b=None, config=None):
     """Run the block eigensolver; returns a :class:`SolverReport`."""
     a = as_operator(a)
@@ -277,253 +420,107 @@ def gcg_solve(a, b=None, config=None):
     n = a.dim
     if b_op is not None and b_op.dim != n:
         raise InvalidShape(f"B dim {b_op.dim} != A dim {n}")
+    if cfg.max_gcg_iters < 1:
+        raise InvalidShape(f"max_gcg_iters must be at least 1, got {cfg.max_gcg_iters}")
     ne = int(cfg.num_eigen)
     bs, sx = resolve_block_sizes(cfg, n)
-    ocfg = cfg.orth
-    det = cfg.deterministic
+    ocfg, det = cfg.orth, cfg.deterministic
 
-    v = mv_new(n, sx + 2 * bs)
-    lam = np.zeros(sx + 2 * bs)
+    win = _Window(mv_new(n, sx + 2 * bs), np.zeros(sx + 2 * bs), sx)
     try:
-        total_red = _starting_block(v, sx, b_op, ocfg, cfg.seed)
+        start_red = _starting_block(win.v, sx, b_op, ocfg, cfg.seed)
     except AllDependent:
         if b_op is not None:
             _check_b_definite(b_op, sx, cfg.seed, ocfg.dependence_tol)
         raise
 
-    locked = 0                 # converged columns of the current X block
-    np_, nw = 0, 0             # current P / W widths
-    abar_prev = None           # previous projected matrix (None => assemble naively)
-    p_coupling = None          # phat' Abar_prev phat, for the P block
-    store_x, store_vals = [], []   # moving-window spillover
-    shift_op, shift_theta = None, None  # inner-solve operator, rebuilt per theta
-    history = []
-    max_m = 0
-    status = "max_iterations"
-    iters_run = 0
-
+    history, status = [], "max_iterations"
     for it in range(1, cfg.max_gcg_iters + 1):
-        iters_run = it
         timer = _Timer(not det)
-        d = sx - locked
-        m = d + np_ + nw
-        max_m = max(max_m, m)
-        basis = v[:, locked : sx + np_ + nw]
-
-        # projected matrix: structured after the first pass
-        if abar_prev is None:
-            abar = mv_inner_prod(basis, a.apply(basis), deterministic=det)
-        else:
-            abar = np.zeros((m, m), order="F")
-            abar[:d, :d] = np.diag(lam[locked:sx])
-            if np_:
-                abar[d : d + np_, d : d + np_] = p_coupling
-            if nw:
-                aw = a.apply(v[:, sx + np_ : sx + np_ + nw])
-                cross = mv_inner_prod(basis, aw, deterministic=det)
-                abar[:, d + np_ :] = cross
-                abar[d + np_ :, :] = cross.T
-        abar = (abar + abar.T) / 2.0
-        abar_defect = None
-        if cfg.cross_check_abar and abar_prev is not None:
+        basis = win.v[:, win.locked : win.sx + win.np_ + win.nw]   # active X, P, W
+        abar = _project(win, a, basis, det)
+        defect = None
+        if cfg.cross_check_abar and win.ritz:
             naive = mv_inner_prod(basis, a.apply(basis), deterministic=det)
-            abar_defect = float(np.abs(abar - (naive + naive.T) / 2.0).max())
+            defect = float(np.abs(abar - (naive + naive.T) / 2.0).max())
         timer.lap("t_step3")
 
-        dec = sym_eig_range(abar, 1, d)
-        lam_new = dec.values
-        coeffs = dec.vectors                      # m x d
-        x_new = np.asfortranarray(basis @ coeffs)
+        dec = sym_eig_range(abar, 1, win.sx - win.locked)
+        x_new = np.asfortranarray(basis @ dec.vectors)
         timer.lap("t_step3")
 
-        stored = sum(len(vv) for vv in store_vals)
-        limit = max(0, min(sx - locked, ne - stored - locked))
-        newly, first_res = _count_converged(a, b_op, x_new, lam_new, limit, bs, cfg.tol)
-        c = locked + newly
-        total_locked = stored + c
+        stored = win.stored
+        limit = max(0, min(win.sx - win.locked, ne - stored - win.locked))
+        newly, first_res = _count_converged(a, b_op, x_new, dec.values, limit, bs, cfg.tol)
+        c = win.locked + newly
+        # one record per iteration, filled in as the phases run
+        rec = IterationRecord(
+            it, stored + c, first_res, 0.0, 0, basis.shape[1], 0, timer.marks, None, defect
+        )
+        history.append(rec)
         timer.lap("t_step4")
-
-        if total_locked >= ne:
-            v[:, locked:sx] = x_new
-            lam[locked:sx] = lam_new
-            locked = c
+        if rec.num_converged >= ne:
+            win.lock(x_new, dec.values, c)
+            # unlike every other record's, this theta is taken after locking
+            rec.theta = select_shift(cfg.shift_mode, win.lam, win.locked, win.store_vals)
             status = "converged"
-            if cfg.collect_history:
-                theta = select_shift(cfg.shift_mode, lam, locked, store_vals)
-                history.append(
-                    IterationRecord(
-                        it, total_locked, first_res, theta, 0, m, 0, timer.marks,
-                        None, abar_defect,
-                    )
-                )
             break
 
-        compacted = refilled = False
-        iter_red = 0
-        if cfg.moving and c > 0 and (c >= 2 * bs or c >= sx):
-            # window slide: emit every verified pair, keep the rest of the
-            # projected spectrum as the new (narrower) window.  Narrow
-            # late windows can fill up before reaching the nominal
-            # 2*block_size mark; an exhausted window must slide too.
-            full = sym_eig_full(abar)
-            x_all = np.asfortranarray(basis @ full.vectors)
-            # emitted pairs = columns locked in earlier passes plus the
-            # prefix verified just now; the projected basis only spans the
-            # unlocked part, so those two groups live in different arrays
-            store_x.append(np.asfortranarray(np.hstack([v[:, :locked], x_all[:, :newly]])))
-            store_vals.append(np.concatenate([lam[:locked], full.values[:newly]]))
-            stored += c
-            sx = m - newly
-            if sx:
-                v[:, :sx] = x_all[:, newly:]
-                lam[:sx] = full.values[newly:]
-            locked = 0
-            np_, nw = 0, 0
-            p_coupling = None
-            compacted = True
+        win.ritz = True
+        # a narrow late window can fill up before the 2*bs mark; it slides too
+        slide = cfg.moving and c > 0 and (c >= 2 * bs or c >= win.sx)
+        if slide:
+            rec.orth_reductions += _slide(
+                win, abar, basis, newly, bs, n, b_op, ocfg, cfg.seed + 104729 * it
+            )
             c = 0
-            if sx < bs:
-                # window nearly exhausted before the wanted count was
-                # reached: top it up with fresh random directions and let
-                # the next pass rebuild the projection from scratch
-                add = min(3 * bs, n - stored) - sx
-                if add > 0:
-                    mv_set_random(v[:, sx : sx + add], cfg.seed + 104729 * it)
-                    defl = np.asfortranarray(np.hstack(store_x + [v[:, :sx]]))
-                    ro = orth_against(v[:, sx : sx + add], defl, b=b_op, cfg=ocfg)
-                    iter_red += ro.reduction_count
-                    sx += ro.num_kept
-                refilled = True
-                if sx <= 0:
-                    raise AllDependent("moving window could not be refilled")
         timer.lap("t_step4")
 
-        theta = select_shift(cfg.shift_mode, lam, locked, store_vals)
-        cg_iters = cg_conv = cg_frozen = 0
-        if not refilled:
-            if compacted:
-                bs_eff = max(1, min(bs, ne - stored, sx))
-            else:
-                bs_eff = max(1, min(bs, ne - stored - c, sx - c))
-                phat = _build_p(coeffs, d, c - locked, bs_eff, ocfg.dependence_tol)
-                if phat is None:
-                    p_new, p_coupling = None, None
-                else:
-                    p_new = np.asfortranarray(basis @ phat)
-                    p_coupling = phat.T @ (abar @ phat)
-                v[:, locked:sx] = x_new
-                lam[locked:sx] = lam_new
-                locked = c
-                np_ = 0 if p_new is None else p_new.shape[1]
-                if np_:
-                    v[:, sx : sx + np_] = p_new
+        rec.theta = select_shift(cfg.shift_mode, win.lam, win.locked, win.store_vals)
+        if win.ritz:   # else the refilled window is projected afresh first
+            width = max(1, min(bs, ne - win.stored - c, win.sx - c))
+            if not slide:
+                _lock_and_momentum(win, basis, abar, x_new, dec, c, width, ocfg.dependence_tol)
             timer.lap("t_step5")
-
-            # damped inverse power block
-            x_act = np.asfortranarray(v[:, locked : locked + bs_eff])
-            lam_act = lam[locked : locked + bs_eff]
-            bx_act = b_op.apply(x_act) if b_op is not None else x_act.copy()
-            rhs = np.asfortranarray(bx_act * (lam_act - theta))
-            if theta != shift_theta:
-                shift_op = None   # free the old assembled matrix first
-                shift_op = a if theta == 0.0 else ShiftedOperator(a, b_op, theta)
-                shift_theta = theta
-            w_raw, cg_rep = block_cg(
-                shift_op, rhs, x0=x_act, max_iters=cfg.cg_max_iters, rel_tol=cfg.cg_rel_tol
-            )
-            cg_iters = cg_rep.iterations
-            cg_conv = int(cg_rep.converged.sum())
-            cg_frozen = int(cg_rep.frozen.sum())
-            timer.lap("t_step6")
-
-            w_region = v[:, sx + np_ : sx + np_ + bs_eff]
-            w_region[...] = w_raw
-            if store_x:
-                defl = np.asfortranarray(np.hstack(store_x + [v[:, : sx + np_]]))
-            else:
-                defl = v[:, : sx + np_]
-            try:
-                w_out = orth_against(w_region, defl, b=b_op, cfg=ocfg)
-                nw = w_out.num_kept
-                iter_red += w_out.reduction_count
-            except AllDependent:
-                nw = 0
-            if nw == 0:
-                # the damped block collapsed into the current span; replace
-                # it with fresh random directions so the search still widens
-                mv_set_random(w_region, cfg.seed + 7919 * it)
-                try:
-                    w_out = orth_against(w_region, defl, b=b_op, cfg=ocfg)
-                    nw = w_out.num_kept
-                    iter_red += w_out.reduction_count
-                except AllDependent:
-                    nw = 0
-            timer.lap("t_step2")
-
-        total_red += iter_red
-
-        basis_defect = None
+            # W never reaches past the dimension the store, X and P leave
+            width = min(width, n - win.stored - win.sx - win.np_)
+            win.nw = 0
+            if width > 0:
+                cg = _damp(win, a, b_op, width, rec.theta, cfg)
+                rec.cg_iterations = cg.iterations
+                rec.cg_converged = int(cg.converged.sum())
+                rec.cg_frozen = int(cg.frozen.sum())
+                timer.lap("t_step6")
+                rec.orth_reductions += _orth_w(win, b_op, ocfg, width, cfg.seed + 7919 * it)
+                timer.lap("t_step2")
         if cfg.instrument_orth:
-            full_basis = v[:, : sx + np_ + nw]
-            gram = mv_inner_prod(full_basis, full_basis, b=b_op, deterministic=det)
-            basis_defect = float(np.abs(gram - np.eye(gram.shape[0])).max())
+            full = win.v[:, : win.sx + win.np_ + win.nw]
+            gram = mv_inner_prod(full, full, b=b_op, deterministic=det)
+            rec.basis_defect = float(np.abs(gram - np.eye(gram.shape[0])).max())
 
-        abar_prev = None if refilled else abar
-        if cfg.collect_history:
-            history.append(
-                IterationRecord(
-                    it,
-                    total_locked,
-                    first_res,
-                    theta,
-                    cg_iters,
-                    m,
-                    iter_red,
-                    timer.marks,
-                    basis_defect,
-                    abar_defect,
-                    cg_conv,
-                    cg_frozen,
-                )
-            )
-
-    # assemble the result in ascending order: spilled store first, then the
-    # live window
-    if store_x:
-        all_x = np.asfortranarray(np.hstack(store_x + [v[:, :locked]]))
-        all_vals = np.concatenate(store_vals + [lam[:locked]])
-        n_conv = all_vals.shape[0]
-        if n_conv < ne:  # ran out of iterations mid-window: pad with Ritz data
-            extra = min(ne - n_conv, sx - locked)
-            all_x = np.asfortranarray(np.hstack([all_x, v[:, locked : locked + extra]]))
-            all_vals = np.concatenate([all_vals, lam[locked : locked + extra]])
-        take = min(ne, all_vals.shape[0])
-        values = all_vals[:take].copy()
-        vectors = np.asfortranarray(all_x[:, :take])
-    else:
-        n_conv = locked
-        values = lam[:ne].copy()
-        vectors = np.asfortranarray(v[:, :ne])
-
-    residuals = np.empty(values.shape[0])
-    if values.shape[0]:
-        ax = a.apply(vectors)
-        bx = b_op.apply(vectors) if b_op is not None else vectors
-        for j in range(values.shape[0]):
-            residuals[j] = _rel_residual(
-                ax[:, j], vectors[:, j], bx[:, j], float(values[j]), b_op is not None
-            )
+    # ascending order: the store first, then the live window, padded past
+    # its locked prefix with unconverged Ritz pairs up to num_eigen
+    stored = win.stored
+    k = min(ne - stored, win.sx)
+    values = np.concatenate(win.store_vals + [win.lam[:k]])
+    vectors = np.asfortranarray(np.hstack(win.store_x + [win.v[:, :k]]))
+    ax = a.apply(vectors)
+    bx = b_op.apply(vectors) if b_op is not None else vectors
+    residuals = np.array([
+        _rel_residual(ax[:, j], vectors[:, j], bx[:, j], float(values[j]), b_op is not None)
+        for j in range(values.shape[0])
+    ])
 
     return SolverReport(
         status=status,
         eigenvalues=values,
         eigenvectors=vectors,
-        num_converged=min(n_conv, ne),
-        iterations=iters_run,
+        num_converged=min(stored + win.locked, ne),
+        iterations=len(history),
         residuals=residuals,
         history=history,
         stagnated=_stagnation_flag(history, cfg.stall_window),
-        max_projection_dim=max_m,
-        total_reductions=total_red,
+        max_projection_dim=max(rec.basis_size for rec in history),
+        total_reductions=start_red + sum(rec.orth_reductions for rec in history),
         backend=kernels.backend_name(),
     )

@@ -1,5 +1,6 @@
 """Matrix file round-trips, builtin generators, and history/record output."""
 
+import dataclasses
 import json
 import math
 
@@ -282,8 +283,7 @@ def test_history_csv_shape(tmp_path):
 
 
 def test_history_empty_gives_header_only(tmp_path):
-    rep = _small_report(collect_history=False)
-    assert rep.history == []
+    rep = dataclasses.replace(_small_report(), history=[])
     path = tmp_path / "h.csv"
     write_history(rep, str(path))
     assert path.read_text() == ",".join(HISTORY_COLUMNS) + "\n"

@@ -102,6 +102,44 @@ def test_moving_window_matches_plain_run():
     assert moving.residuals.max() <= 1e-7
 
 
+@pytest.mark.parametrize(
+    "n, ne, bs", [(30, 25, None), (9, 7, None), (12, 12, None), (45, 40, None), (30, 30, 2)]
+)
+def test_moving_window_at_the_end_of_the_spectrum(n, ne, bs):
+    # the store, X and P fill the whole space before num_eigen pairs are
+    # found; a W past that dimension is rounding noise, not a direction
+    rep = gcg_solve(
+        np.diag(np.arange(1.0, n + 1)),
+        config=SolverConfig(num_eigen=ne, block_size=bs, moving=True),
+    )
+    assert rep.status == "converged"
+    assert np.abs(rep.eigenvalues - np.arange(1.0, ne + 1)).max() <= 1e-8
+
+
+def test_phases_call_the_kernels_through_module_names(monkeypatch):
+    # perfbench/tracing.py swaps exactly these names in gcgeig.solver; a
+    # phase that moves out of the module or binds one early escapes it
+    names = (
+        "block_cg", "orth_against", "recursive_orth_svd", "sym_eig_range",
+        "sym_eig_full", "gram_svd", "mv_inner_prod",
+    )
+    counts = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in names:
+        monkeypatch.setattr(gcgeig.solver, name, counting(name, getattr(gcgeig.solver, name)))
+    rep = gcg_solve(
+        TRIDIAG(200), config=SolverConfig(num_eigen=30, block_size=8, moving=True)
+    )
+    assert rep.status == "converged"
+    assert all(counts[name] > 0 for name in names), counts
+
+
 def test_max_iterations_reported_honestly():
     rep = gcg_solve(
         np.diag(np.arange(1.0, 40.0)),
@@ -136,6 +174,8 @@ def test_argument_validation():
         gcg_solve(a, np.ones(7), SolverConfig(num_eigen=2))
     with pytest.raises(InvalidShape):
         gcg_solve(a, config=SolverConfig(num_eigen=2, shift_mode="bogus"))
+    with pytest.raises(InvalidShape):
+        gcg_solve(a, config=SolverConfig(num_eigen=2, max_gcg_iters=0))
 
 
 def test_history_bookkeeping():
@@ -150,15 +190,6 @@ def test_history_bookkeeping():
         assert set(h.timings) == {"t_step2", "t_step3", "t_step4", "t_step5", "t_step6"}
         assert h.basis_size >= 1
     assert rep.total_reductions >= sum(h.orth_reductions for h in rep.history)
-
-
-def test_history_can_be_disabled():
-    rep = gcg_solve(
-        np.diag(np.arange(1.0, 21.0)),
-        config=SolverConfig(num_eigen=3, seed=12, collect_history=False),
-    )
-    assert rep.status == "converged"
-    assert rep.history == []
 
 
 def test_deterministic_mode_is_bitwise_repeatable():

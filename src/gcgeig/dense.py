@@ -9,6 +9,26 @@ These routines handle the projected (small, dense) problems.  Conventions:
   (first such index on ties), which keeps runs reproducible,
 * index ranges are 1-based and inclusive, matching the usual eigensolver
   (il, iu) convention.
+
+The projected eigenproblems go to LAPACK's divide-and-conquer driver
+(``?syevd``), which computes the whole spectrum; ``sym_eig_range`` returns
+the wanted slice of it.  Asking ``?syevr`` for a subset instead takes its
+bisection and inverse-iteration path, which costs up to 3.5 times as much
+for the slices the solver asks for.  One BLAS thread on a 2-core machine,
+best of 7:
+
+    ==============  ============  ===========  ==========
+    projected size  pairs wanted  subset evr   full evd
+    ==============  ============  ===========  ==========
+    400             320           80.0 ms      22.9 ms
+    200             120           14.7 ms       4.5 ms
+    120              40            3.3 ms       1.9 ms
+     20              10            0.14 ms      0.10 ms
+    ==============  ============  ===========  ==========
+
+The whole spectrum by ``?syevr`` (27.1 ms at 400) loses at every size, so
+there is no size threshold.  ``gram_svd`` keeps scipy's default driver: its
+matrices are at most a block wide, where the driver makes no difference.
 """
 
 from __future__ import annotations
@@ -54,17 +74,19 @@ def _fix_signs(vectors):
     return vectors
 
 
-def _eigh(m, **kwargs):
+def _eigh(m, cols=slice(None), **kwargs):
+    """Eigenpairs of ``m``, keeping the columns ``cols`` of the spectrum.  A
+    slice of consecutive columns of the F-order vectors is F-contiguous."""
     try:
         vals, vecs = scipy.linalg.eigh(m, **kwargs)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise NoConvergence(str(exc)) from exc
-    return SpectralDecomposition(vals, _fix_signs(np.asfortranarray(vecs)))
+    return SpectralDecomposition(vals[cols], _fix_signs(np.asfortranarray(vecs)[:, cols]))
 
 
 def sym_eig_full(m):
     """All eigenpairs of a symmetric matrix, ascending."""
-    return _eigh(_check_sym(m))
+    return _eigh(_check_sym(m), driver="evd")
 
 
 def sym_eig_range(m, lo, hi):
@@ -73,7 +95,7 @@ def sym_eig_range(m, lo, hi):
     n = m.shape[0]
     if not (1 <= lo <= hi <= n):
         raise InvalidRange(f"range {lo}..{hi} invalid for dimension {n}")
-    return _eigh(m, subset_by_index=[lo - 1, hi - 1])
+    return _eigh(m, slice(lo - 1, hi), driver="evd")
 
 
 def gram_svd(m):

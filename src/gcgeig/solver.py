@@ -22,7 +22,9 @@ With ``moving=True`` the solver hunts many eigenpairs with a sliding
 window of width 3*block_size: whenever 2*block_size columns of the window
 have converged they are emitted to an external store (which keeps
 deflating W) and the window slides up the spectrum, so the projected
-problem never grows past 5*block_size columns.
+problem does not grow past 5*block_size columns until the store, X and P
+span the whole space; then the store is folded back into X and all ``n``
+columns are projected afresh.
 """
 
 from __future__ import annotations
@@ -298,6 +300,18 @@ class _Window:
             return span
         return np.asfortranarray(np.hstack(self.store_x + [span]))
 
+    def fold(self, room):
+        """Make the store, X and P the new X, unlocked, in an array with
+        ``room`` spare columns, so the next pass projects them afresh."""
+        span = self.deflation()
+        k = span.shape[1]
+        self.v = mv_new(span.shape[0], k + room)
+        self.v[:, :k] = span
+        self.lam = np.zeros(k + room)
+        self.sx, self.locked, self.np_, self.nw = k, 0, 0, 0
+        self.ritz = False
+        self.store_x, self.store_vals = [], []
+
     def lock(self, x_new, lam_new, c):
         """Write the new Ritz block over the active X; lock X's first ``c``."""
         self.v[:, self.locked : self.sx] = x_new
@@ -493,6 +507,10 @@ def gcg_solve(a, b=None, config=None):
                 timer.lap("t_step6")
                 rec.orth_reductions += _orth_w(win, b_op, ocfg, width, cfg.seed + 7919 * it)
                 timer.lap("t_step2")
+            elif win.store_x:
+                # they span the whole space, and the store's own errors put a
+                # floor under the last residuals: fold the store back in
+                win.fold(2 * bs)
         if cfg.instrument_orth:
             full = win.v[:, : win.sx + win.np_ + win.nw]
             gram = mv_inner_prod(full, full, b=b_op, deterministic=det)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gcgeig.dense import SpectralDecomposition, gram_svd, sym_eig_full, sym_eig_range
 from gcgeig.errors import InvalidMatrix, InvalidRange
@@ -116,6 +117,23 @@ class TestSymEigRange:
             full = sym_eig_full(m)
             part = sym_eig_range(m, lo, hi)
             assert np.abs(part.values - full.values[lo - 1 : hi]).max() < 1e-12
+
+    def test_projected_shape(self):
+        # the shape of the solver's projected matrix: a diagonal of Ritz
+        # values, here with a tight cluster, bordered by a dense W block
+        rng = np.random.default_rng(11)
+        d = np.sort(np.concatenate([rng.uniform(0.0, 10.0, 280), 5.0 + 1e-9 * rng.random(40)]))
+        m = np.zeros((400, 400))
+        m[:320, :320] = np.diag(d)
+        border = rng.standard_normal((400, 80))
+        m[:, 320:] = border
+        m[320:, :] = border.T
+        m = (m + m.T) / 2.0
+        dec = sym_eig_range(m, 1, 320)
+        ref = scipy.linalg.eigh(m, eigvals_only=True, subset_by_index=[0, 319])
+        assert np.abs(dec.values - ref).max() <= 1e-12 * np.abs(m).max()
+        assert np.abs(dec.vectors.T @ dec.vectors - np.eye(320)).max() <= 1e-12
+        assert dec.vectors.flags.f_contiguous
 
     @pytest.mark.parametrize("lo,hi", [(0, 2), (3, 2), (1, 9), (-1, 1)])
     def test_invalid_ranges(self, lo, hi):

@@ -103,17 +103,38 @@ def test_moving_window_matches_plain_run():
 
 
 @pytest.mark.parametrize(
-    "n, ne, bs", [(30, 25, None), (9, 7, None), (12, 12, None), (45, 40, None), (30, 30, 2)]
+    "n, ne, bs",
+    [
+        (30, 25, None), (9, 7, None), (12, 12, None), (45, 40, None), (30, 30, 2),
+        (22, 22, 2), (31, 29, 2), (39, 39, 2),
+    ],
 )
 def test_moving_window_at_the_end_of_the_spectrum(n, ne, bs):
     # the store, X and P fill the whole space before num_eigen pairs are
-    # found; a W past that dimension is rounding noise, not a direction
+    # found; a W past that dimension is rounding noise, not a direction, and
+    # the last pairs need the whole basis projected afresh to pass tol
     rep = gcg_solve(
         np.diag(np.arange(1.0, n + 1)),
         config=SolverConfig(num_eigen=ne, block_size=bs, moving=True),
     )
     assert rep.status == "converged"
     assert np.abs(rep.eigenvalues - np.arange(1.0, ne + 1)).max() <= 1e-8
+
+
+def test_moving_generalized_window_at_the_end_of_the_spectrum():
+    # stalled with 28 of 30 pairs while the store capped the last residuals
+    # just above tol
+    n = 31
+    rng = np.random.default_rng(31)
+    m = rng.standard_normal((n, n))
+    a = (m + m.T) / 2.0
+    g = rng.standard_normal((n, n))
+    b = g @ g.T / n + np.eye(n)
+    rep = gcg_solve(a, b, SolverConfig(num_eigen=30, moving=True, seed=1))
+    ref = scipy.linalg.eigh(a, b, eigvals_only=True)[:30]
+    assert rep.status == "converged"
+    assert rep.eigenvalues.shape == (30,)
+    assert np.abs(rep.eigenvalues - ref).max() <= 1e-8 * max(1.0, np.abs(ref).max())
 
 
 def test_phases_call_the_kernels_through_module_names(monkeypatch):

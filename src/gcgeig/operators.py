@@ -19,10 +19,31 @@ __all__ = [
     "DiagonalOperator",
     "ShiftedOperator",
     "as_operator",
-    "symmetry_defect",
 ]
 
 _SYM_RTOL = 1e-12
+
+# CsrOperator.apply streams the matrix once per block from this width on and
+# once per column below it.  The block product pays for a C-order copy of the
+# input and a C-order result, which the narrow blocks of the inner solves do
+# not earn back.  Microseconds per apply, per-column loop / block, best of
+# 5 x 40 interleaved applies on F-order input (2-vCPU Xeon guest, scipy 1.17,
+# 1 thread); the clustered matrix has 11 entries per row, the fem one 3:
+#
+#   k                                  1       2        3        4        5
+#   clustered-random n=2000        40/41  81/130  123/142  162/159  207/177
+#   fem1d-p1 A-5B n=3000           22/22   42/69    65/89    80/84  109/109
+#
+#   k                                  6       8       16       40       80
+#   clustered-random n=2000      231/201 316/222  658/344 1302/588 2563/1479
+#   fem1d-p1 A-5B n=3000         130/116  102/93  262/199  586/412 1464/1148
+#
+# From 5 columns on the block product wins on the denser matrix and ties or
+# wins on the sparser one.  Its times spike 2-3x in some runs (clustered
+# k=30 and 80, fem k=80) and not in others at the same width: the allocator
+# returns the two temporaries to the system and they fault in afresh.  With
+# the malloc trim and mmap thresholds raised, the spikes are gone.
+_BLOCK_MIN_COLS = 5
 
 
 class LinearOperator:
@@ -107,10 +128,14 @@ class CsrOperator(LinearOperator):
 
     def apply(self, x, out=None):
         out = self._out(x, out)
-        # one column at a time: a block product is slower on the narrow
-        # F-order blocks of the inner solves
-        for j in range(x.shape[1]):
-            out[:, j] = self._sp @ x[:, j]
+        if x.shape[1] >= _BLOCK_MIN_COLS:
+            # one pass over the matrix for all columns (scipy's csr_matvecs
+            # wants C-order input); each row sums its terms in the same
+            # order as the per-column product, so the result is identical
+            out[...] = self._sp @ np.ascontiguousarray(x)
+        else:
+            for j in range(x.shape[1]):
+                out[:, j] = self._sp @ x[:, j]
         return out
 
     def diagonal(self):
@@ -193,17 +218,3 @@ def as_operator(obj):
         return DenseOperator(arr)
     raise InvalidShape(f"cannot build an operator from shape {arr.shape}")
 
-
-def symmetry_defect(op, seed=0, probes=3):
-    """max |<Ax, y> - <x, Ay>| over random probe pairs, scale-normalized."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    worst = 0.0
-    for _ in range(probes):
-        x = np.asfortranarray(rng.standard_normal((op.dim, 1)))
-        y = np.asfortranarray(rng.standard_normal((op.dim, 1)))
-        ax = op.apply(x)
-        ay = op.apply(y)
-        num = abs(float(np.vdot(ax, y)) - float(np.vdot(x, ay)))
-        den = max(1.0, float(np.abs(ax).max()), float(np.abs(ay).max()))
-        worst = max(worst, num / den)
-    return worst

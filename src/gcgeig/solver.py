@@ -159,26 +159,30 @@ def _rel_residual(ax_j, x_j, bx_j, lam_j, generalized):
     return math.sqrt(float(r @ r)) / denom
 
 
-def _count_converged(a, b_op, x_new, lam_new, limit, chunk, tol):
-    """Length of the converged prefix of the freshly computed Ritz block.
-
-    Residuals are evaluated in chunks of the block size so one failed
-    column stops the (operator-application) spending early.
-    """
-    count = 0
-    for start in range(0, limit, chunk):
-        stop = min(start + chunk, limit)
-        xc = np.asfortranarray(x_new[:, start:stop])
+def _residuals(a, b_op, x, lam, chunk):
+    """Relative residual of each column of ``x``, in order.  A and B are
+    applied to ``chunk`` columns at a time, so a caller that stops early
+    stops the operator applications too, and no temporary is wider than
+    ``chunk`` columns."""
+    for start in range(0, x.shape[1], chunk):
+        stop = min(start + chunk, x.shape[1])
+        xc = np.asfortranarray(x[:, start:stop])
         axc = a.apply(xc)
         bxc = b_op.apply(xc) if b_op is not None else xc
         for j in range(stop - start):
-            rel = _rel_residual(
-                axc[:, j], xc[:, j], bxc[:, j], float(lam_new[start + j]), b_op is not None
+            yield _rel_residual(
+                axc[:, j], xc[:, j], bxc[:, j], float(lam[start + j]), b_op is not None
             )
-            if rel < tol:
-                count += 1
-            else:
-                return count, rel
+
+
+def _count_converged(a, b_op, x_new, lam_new, limit, chunk, tol):
+    """Length of the converged prefix of the freshly computed Ritz block,
+    and the residual of the first column that failed (0.0 if none did)."""
+    count = 0
+    for rel in _residuals(a, b_op, x_new[:, :limit], lam_new, chunk):
+        if not rel < tol:
+            return count, rel
+        count += 1
     return count, 0.0
 
 
@@ -390,7 +394,7 @@ def _damp(win, a, b_op, width, theta, cfg):
     written into the W slot.  Returns the CG report."""
     lo = win.locked
     x_act = np.asfortranarray(win.v[:, lo : lo + width])
-    bx_act = b_op.apply(x_act) if b_op is not None else x_act.copy()
+    bx_act = b_op.apply(x_act) if b_op is not None else x_act
     rhs = np.asfortranarray(bx_act * (win.lam[lo : lo + width] - theta))
     if theta != win.shift_theta:
         win.shift_op = None   # free the old assembled matrix first
@@ -522,12 +526,7 @@ def gcg_solve(a, b=None, config=None):
     k = min(ne - stored, win.sx)
     values = np.concatenate(win.store_vals + [win.lam[:k]])
     vectors = np.asfortranarray(np.hstack(win.store_x + [win.v[:, :k]]))
-    ax = a.apply(vectors)
-    bx = b_op.apply(vectors) if b_op is not None else vectors
-    residuals = np.array([
-        _rel_residual(ax[:, j], vectors[:, j], bx[:, j], float(values[j]), b_op is not None)
-        for j in range(values.shape[0])
-    ])
+    residuals = np.fromiter(_residuals(a, b_op, vectors, values, bs), float, values.shape[0])
 
     return SolverReport(
         status=status,

@@ -348,7 +348,7 @@ def _slide(win, abar, basis, newly, bs, n, b_op, ocfg, seed):
     left narrower than ``bs`` is topped up with random directions, and X
     then no longer holds Ritz vectors.  Returns the reductions spent."""
     full = sym_eig_full(abar)
-    x_all = np.asfortranarray(basis @ full.vectors)
+    x_all = np.matmul(basis, full.vectors, out=mv_new(n, full.vectors.shape[1]))
     # emitted pairs = columns locked in earlier passes plus the prefix
     # verified just now; the projected basis only spans the unlocked part,
     # so those two groups live in different arrays
@@ -464,7 +464,7 @@ def gcg_solve(a, b=None, config=None):
         timer.lap("t_step3")
 
         dec = sym_eig_range(abar, 1, win.sx - win.locked)
-        x_new = np.asfortranarray(basis @ dec.vectors)
+        x_new = np.matmul(basis, dec.vectors, out=mv_new(n, dec.vectors.shape[1]))
         timer.lap("t_step3")
 
         stored = win.stored

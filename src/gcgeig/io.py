@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
+from . import kernels
 from .errors import (
     InvalidShape,
     IoError,
@@ -421,16 +422,14 @@ class RunRecord:
     def from_run(cls, report, config, wall_time=0.0, nnz_a=None, nnz_b=None):
         """Assemble a record from a finished :class:`SolverReport`.
 
-        ``config`` is the resolved configuration dict; when it carries
-        ``deterministic: true`` every wall-clock field is written as 0.0
-        so repeated runs serialize to identical bytes.
+        ``config`` is the resolved configuration dict.  The timings and
+        ``wall_time`` are recorded as given; a caller that wants repeated
+        runs to serialize to identical bytes zeroes them first.
         """
-        deterministic = bool(config.get("deterministic", False))
         timings = {key: 0.0 for key in _TIMING_KEYS}
-        if not deterministic:
-            for rec in report.history:
-                for key in _TIMING_KEYS:
-                    timings[key] += float(rec.timings.get(key, 0.0))
+        for rec in report.history:
+            for key in _TIMING_KEYS:
+                timings[key] += float(rec.timings.get(key, 0.0))
         return cls(
             schema_version=SCHEMA_VERSION,
             config=dict(config),
@@ -443,9 +442,9 @@ class RunRecord:
             stagnated=bool(report.stagnated),
             max_projection_dim=int(report.max_projection_dim),
             total_reductions=int(report.total_reductions),
-            backend=report.backend,
+            backend=kernels.backend_name(),
             timings=timings,
-            wall_time=0.0 if deterministic else float(wall_time),
+            wall_time=float(wall_time),
             nnz_a=None if nnz_a is None else int(nnz_a),
             nnz_b=None if nnz_b is None else int(nnz_b),
             history=history_rows(report),

@@ -3,10 +3,6 @@
 A multivector is a float64 ndarray of shape (dim, num_cols) in Fortran
 (column-major) order: each column is contiguous and column slices alias the
 parent storage, so sub-blocks can be updated in place.
-
-Inner products can run in a deterministic mode that folds fixed-length row
-chunks in a fixed order, making the result bit-stable across runs at a fixed
-BLAS thread count; the price is roughly one extra pass over memory.
 """
 
 from __future__ import annotations
@@ -15,10 +11,7 @@ import numpy as np
 
 from .errors import InvalidShape
 
-__all__ = ["REDUCE_CHUNK_ROWS", "mv_new", "mv_set_random", "mv_inner_prod"]
-
-# Row-chunk length for the deterministic fixed-order reduction.
-REDUCE_CHUNK_ROWS = 8192
+__all__ = ["mv_new", "mv_set_random", "mv_inner_prod"]
 
 
 def mv_new(dim, num_cols):
@@ -34,7 +27,7 @@ def mv_set_random(x, seed):
     return x
 
 
-def mv_inner_prod(x, y, b=None, out=None, deterministic=False, chunk=REDUCE_CHUNK_ROWS):
+def mv_inner_prod(x, y, b=None, out=None):
     """Gram block out[r, c] = <x_r, B y_c> written straight into ``out``.
 
     ``out`` may be any strided 2-D view (for example a submatrix of a larger
@@ -48,13 +41,5 @@ def mv_inner_prod(x, y, b=None, out=None, deterministic=False, chunk=REDUCE_CHUN
     elif out.shape != (x.shape[1], y.shape[1]):
         raise InvalidShape(f"out shape {out.shape} != ({x.shape[1]}, {y.shape[1]})")
     by = y if b is None else b.apply(y)
-    n = x.shape[0]
-    if not deterministic or chunk <= 0 or chunk >= n:
-        np.matmul(x.T, by, out=out)
-        return out
-    # fixed-order fold over row chunks: bit-stable across runs
-    out[...] = 0.0
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        out += x[start:stop].T @ by[start:stop]
+    np.matmul(x.T, by, out=out)
     return out

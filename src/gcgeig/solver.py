@@ -35,9 +35,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
 from .cg import block_cg
-from .dense import gram_svd, sym_eig_full, sym_eig_range
+from .dense import SpectralDecomposition, gram_svd, sym_eig_full
+# unused here, but perfbench/tracing.py patches this name in this module
+from .dense import sym_eig_range  # noqa: F401
 from .errors import AllDependent, InvalidMatrix, InvalidShape
 from .multivec import mv_inner_prod, mv_new, mv_set_random
 from .operators import ShiftedOperator, as_operator
@@ -68,7 +69,6 @@ class SolverConfig:
     shift_mode: str = "dynamic"        # "dynamic" | "none"
     moving: bool = False
     seed: int = 0
-    deterministic: bool = False
     orth: OrthConfig = field(default_factory=OrthConfig)
     stall_window: int = 50
     # test / diagnostics plumbing
@@ -104,7 +104,6 @@ class SolverReport:
     stagnated: bool
     max_projection_dim: int
     total_reductions: int
-    backend: str
 
 
 def moving_memory_budget(size_x, block_size):
@@ -121,6 +120,8 @@ def resolve_block_sizes(config, n):
     if not (1 <= ne <= n):
         raise InvalidShape(f"num_eigen must be in 1..{n}, got {ne}")
     bs = config.block_size if config.block_size is not None else max(1, math.ceil(ne / 5))
+    if bs < 1:
+        raise InvalidShape(f"block_size must be at least 1, got {bs}")
     bs = min(bs, n)
     if config.moving:
         return bs, min(3 * bs, n)
@@ -262,15 +263,13 @@ def _stagnation_flag(history, window):
 
 
 class _Timer:
-    def __init__(self, enabled):
-        self.enabled = enabled
+    def __init__(self):
         self.marks = {k: 0.0 for k in _TIMING_KEYS}
         self._last = time.perf_counter()
 
     def lap(self, key):
         now = time.perf_counter()
-        if self.enabled:
-            self.marks[key] += now - self._last
+        self.marks[key] += now - self._last
         self._last = now
 
 
@@ -323,12 +322,12 @@ class _Window:
         self.locked = c
 
 
-def _project(win, a, basis, det):
+def _project(win, a, basis):
     """The projected matrix ``basis' A basis``.  Once X holds Ritz vectors
     its block is diag(lam), the X-P block vanishes and the P block is the
     carried coupling, so A is applied to W only."""
     if not win.ritz:
-        abar = mv_inner_prod(basis, a.apply(basis), deterministic=det)
+        abar = mv_inner_prod(basis, a.apply(basis))
     else:
         d, np_, m = win.sx - win.locked, win.np_, basis.shape[1]
         abar = np.zeros((m, m), order="F")
@@ -336,18 +335,17 @@ def _project(win, a, basis, det):
         if np_:
             abar[d : d + np_, d : d + np_] = win.p_coupling
         if win.nw:
-            cross = mv_inner_prod(basis, a.apply(basis[:, d + np_ :]), deterministic=det)
+            cross = mv_inner_prod(basis, a.apply(basis[:, d + np_ :]))
             abar[:, d + np_ :] = cross
             abar[d + np_ :, :] = cross.T
     return (abar + abar.T) / 2.0
 
 
-def _slide(win, abar, basis, newly, bs, n, b_op, ocfg, seed):
+def _slide(win, full, basis, newly, bs, n, b_op, ocfg, seed):
     """Moving window: emit every verified pair to the store and keep the
-    rest of the projected spectrum as the new, narrower window.  A window
-    left narrower than ``bs`` is topped up with random directions, and X
-    then no longer holds Ritz vectors.  Returns the reductions spent."""
-    full = sym_eig_full(abar)
+    rest of the projected spectrum ``full`` as the new, narrower window.  A
+    window left narrower than ``bs`` is topped up with random directions,
+    and X then no longer holds Ritz vectors.  Returns the reductions spent."""
     x_all = np.matmul(basis, full.vectors, out=mv_new(n, full.vectors.shape[1]))
     # emitted pairs = columns locked in earlier passes plus the prefix
     # verified just now; the projected basis only spans the unlocked part,
@@ -442,7 +440,7 @@ def gcg_solve(a, b=None, config=None):
         raise InvalidShape(f"max_gcg_iters must be at least 1, got {cfg.max_gcg_iters}")
     ne = int(cfg.num_eigen)
     bs, sx = resolve_block_sizes(cfg, n)
-    ocfg, det = cfg.orth, cfg.deterministic
+    ocfg = cfg.orth
 
     win = _Window(mv_new(n, sx + 2 * bs), np.zeros(sx + 2 * bs), sx)
     try:
@@ -454,16 +452,20 @@ def gcg_solve(a, b=None, config=None):
 
     history, status = [], "max_iterations"
     for it in range(1, cfg.max_gcg_iters + 1):
-        timer = _Timer(not det)
+        timer = _Timer()
         basis = win.v[:, win.locked : win.sx + win.np_ + win.nw]   # active X, P, W
-        abar = _project(win, a, basis, det)
+        abar = _project(win, a, basis)
         defect = None
         if cfg.cross_check_abar and win.ritz:
-            naive = mv_inner_prod(basis, a.apply(basis), deterministic=det)
+            naive = mv_inner_prod(basis, a.apply(basis))
             defect = float(np.abs(abar - (naive + naive.T) / 2.0).max())
         timer.lap("t_step3")
 
-        dec = sym_eig_range(abar, 1, win.sx - win.locked)
+        # the whole spectrum: the Ritz block is its leading columns, and a
+        # slide keeps the rest as the next window
+        full = sym_eig_full(abar)
+        d = win.sx - win.locked
+        dec = SpectralDecomposition(full.values[:d], full.vectors[:, :d])
         x_new = np.matmul(basis, dec.vectors, out=mv_new(n, dec.vectors.shape[1]))
         timer.lap("t_step3")
 
@@ -489,7 +491,7 @@ def gcg_solve(a, b=None, config=None):
         slide = cfg.moving and c > 0 and (c >= 2 * bs or c >= win.sx)
         if slide:
             rec.orth_reductions += _slide(
-                win, abar, basis, newly, bs, n, b_op, ocfg, cfg.seed + 104729 * it
+                win, full, basis, newly, bs, n, b_op, ocfg, cfg.seed + 104729 * it
             )
             c = 0
         timer.lap("t_step4")
@@ -516,8 +518,8 @@ def gcg_solve(a, b=None, config=None):
                 # floor under the last residuals: fold the store back in
                 win.fold(2 * bs)
         if cfg.instrument_orth:
-            full = win.v[:, : win.sx + win.np_ + win.nw]
-            gram = mv_inner_prod(full, full, b=b_op, deterministic=det)
+            span = win.v[:, : win.sx + win.np_ + win.nw]
+            gram = mv_inner_prod(span, span, b=b_op)
             rec.basis_defect = float(np.abs(gram - np.eye(gram.shape[0])).max())
 
     # ascending order: the store first, then the live window, padded past
@@ -539,5 +541,4 @@ def gcg_solve(a, b=None, config=None):
         stagnated=_stagnation_flag(history, cfg.stall_window),
         max_projection_dim=max(rec.basis_size for rec in history),
         total_reductions=start_red + sum(rec.orth_reductions for rec in history),
-        backend=kernels.backend_name(),
     )

@@ -113,20 +113,53 @@ def test_history_file_csv_and_json(tmp_path, capsys):
     assert set(rows[0]) == set(HISTORY_COLUMNS)
 
 
-def test_deterministic_records_are_byte_identical(tmp_path, capsys):
-    out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    args = [
-        "--builtin", "clustered-random", "--n", "96", "--gen-seed", "3",
-        "--num-eigen", "6", "--deterministic", "--seed", "7",
-    ]
-    assert run_cli(args + ["--out", str(out1)]) == EXIT_CONVERGED
-    assert run_cli(args + ["--out", str(out2)]) == EXIT_CONVERGED
+@pytest.mark.parametrize(
+    "problem",
+    [
+        [
+            "--builtin", "clustered-random", "--n", "96", "--gen-seed", "3",
+            "--num-eigen", "6", "--seed", "7",
+        ],
+        # more rows than the 8192 a Gram product once folded in chunks of
+        ["--builtin", "diag-range", "--n", "9000", "--num-eigen", "2"],
+    ],
+    ids=["clustered-random-96", "diag-range-9000"],
+)
+def test_deterministic_records_are_byte_identical(tmp_path, capsys, problem):
+    args = problem + ["--deterministic"]
+    records, histories = [], {}
+    for run, fmt in enumerate(("csv", "csv", "json", "json")):
+        out, hist = tmp_path / f"r{run}.json", tmp_path / f"h{run}.{fmt}"
+        assert run_cli(
+            args + ["--out", str(out), "--history", str(hist), "--format", fmt]
+        ) == EXIT_CONVERGED
+        records.append(out.read_bytes())
+        histories.setdefault(fmt, []).append(hist.read_bytes())
     capsys.readouterr()
-    b1, b2 = out1.read_bytes(), out2.read_bytes()
-    assert b1 == b2
-    record = json.loads(b1)
+    assert all(r == records[0] for r in records)
+    assert histories["csv"][0] == histories["csv"][1]
+    assert histories["json"][0] == histories["json"][1]
+    record = json.loads(records[0])
     assert record["wall_time"] == 0.0
     assert all(v == 0.0 for v in record["timings"].values())
+
+    timing_cols = [c for c in HISTORY_COLUMNS if c.startswith("t_step")]
+    lines = histories["csv"][0].decode().splitlines()
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    rows += json.loads(histories["json"][0])
+    assert len(rows) == 2 * record["iterations"]
+    assert all(float(row[c]) == 0.0 for row in rows for c in timing_cols)
+
+
+def test_block_size_below_one_exits_1(capsys):
+    code = run_cli(
+        [
+            "--builtin", "diag-range", "--n", "30", "--num-eigen", "3",
+            "--block-size", "0",
+        ]
+    )
+    assert code == EXIT_ERROR
+    assert "error: block_size must be at least 1" in capsys.readouterr().err
 
 
 def test_shift_flag_changes_theta_column(tmp_path, capsys):

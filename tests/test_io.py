@@ -338,12 +338,3 @@ def test_run_record_roundtrip():
     assert rec.history == history_rows(rep)
     assert len(rec.eigenvalues) == 2
     assert np.asarray(rec.eigenvectors).shape == (10, 2)
-
-
-def test_run_record_deterministic_zeroes_clocks():
-    rep = _small_report(deterministic=True)
-    rec = RunRecord.from_run(
-        rep, {"deterministic": True}, wall_time=3.5, nnz_a=10
-    )
-    assert rec.wall_time == 0.0
-    assert all(v == 0.0 for v in rec.timings.values())

@@ -58,7 +58,7 @@ class TestInnerProd:
         parent = np.full((6, 5), 7.5, order="F")
         view = parent[1:4, 1:3]
         assert not view.flags.f_contiguous and not view.flags.c_contiguous
-        mv_inner_prod(x, y, out=view, deterministic=True, chunk=8)
+        mv_inner_prod(x, y, out=view)
         assert np.abs(view - x.T @ y).max() < 1e-12
         mask = np.ones_like(parent, dtype=bool)
         mask[1:4, 1:3] = False
@@ -75,20 +75,6 @@ class TestInnerProd:
         # symmetry + PSD of the Gram block
         assert np.abs(got - got.T).max() < 1e-10
         assert np.linalg.eigvalsh((got + got.T) / 2).min() > 0
-
-    def test_deterministic_chunked_matches_plain(self, rng):
-        x = random_mv(rng, 1000, 5)
-        y = random_mv(rng, 1000, 4)
-        plain = mv_inner_prod(x, y, deterministic=False)
-        det = mv_inner_prod(x, y, deterministic=True, chunk=128)
-        assert np.abs(plain - det).max() < 1e-12 * np.abs(plain).max()
-
-    def test_deterministic_bitwise_repeatable(self, rng):
-        x = random_mv(rng, 3000, 4)
-        y = random_mv(rng, 3000, 4)
-        a = mv_inner_prod(x, y, deterministic=True, chunk=256)
-        b = mv_inner_prod(x, y, deterministic=True, chunk=256)
-        assert np.array_equal(a, b)
 
     def test_out_shape_checked(self, rng):
         x = random_mv(rng, 9, 2)

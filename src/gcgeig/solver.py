@@ -20,11 +20,12 @@ once per iteration plus a chunk of the convergence check.
 
 With ``moving=True`` the solver hunts many eigenpairs with a sliding
 window of width 3*block_size: whenever 2*block_size columns of the window
-have converged they are emitted to an external store (which keeps
-deflating W) and the window slides up the spectrum, so the projected
-problem does not grow past 5*block_size columns until the store, X and P
-span the whole space; then the store is folded back into X and all ``n``
-columns are projected afresh.
+have converged they join the converged prefix of the basis array, which
+the window moves past without copying it (the prefix keeps deflating W but
+leaves the projected problem), so the projected problem does not grow past
+5*block_size columns until the prefix, X and P span the whole space; then
+the prefix is folded back into X and all ``n`` columns are projected
+afresh.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ __all__ = [
 ]
 
 _TIMING_KEYS = ("t_step2", "t_step3", "t_step4", "t_step5", "t_step6")
+_STALL_WINDOW = 50   # iterations without progress that flag a stagnated run
 
 
 @dataclass
@@ -70,7 +72,6 @@ class SolverConfig:
     moving: bool = False
     seed: int = 0
     orth: OrthConfig = field(default_factory=OrthConfig)
-    stall_window: int = 50
     # test / diagnostics plumbing
     instrument_orth: bool = False      # measure max|V'BV - I| every iteration
     cross_check_abar: bool = False     # rebuild the projected matrix naively
@@ -129,20 +130,13 @@ def resolve_block_sizes(config, n):
     return bs, min(max(sx, ne), n)
 
 
-def select_shift(mode, lam, num_locked, store_vals=()):
+def select_shift(mode, lam, num_locked):
     """Damping shift: the largest eigenvalue locked so far, else 0."""
     if mode not in ("dynamic", "none"):
         raise InvalidShape(f"unknown shift mode {mode!r}")
-    if mode == "none":
+    if mode == "none" or num_locked <= 0:
         return 0.0
-    best = None
-    if num_locked > 0:
-        best = float(lam[num_locked - 1])
-    for vals in store_vals:
-        if len(vals):
-            top = float(vals[-1])
-            best = top if best is None or top > best else best
-    return 0.0 if best is None else best
+    return float(lam[num_locked - 1])
 
 
 def _rel_residual(ax_j, x_j, bx_j, lam_j, generalized):
@@ -275,45 +269,35 @@ class _Timer:
 
 @dataclass
 class _Window:
-    """The live state of one solve: ``v`` holds the blocks ``[X | P | W]``
-    of widths ``sx``, ``np_``, ``nw``; ``lam`` the Ritz values of X, whose
-    first ``locked`` columns have converged; the store the emitted pairs."""
+    """The live state of one solve.  ``v`` holds, left to right: the
+    ``stored`` pairs the moving window has passed, X up to column ``sx``
+    (converged and locked up to ``locked``, which is at least ``stored``),
+    then P and W of widths ``np_`` and ``nw``.  ``lam`` holds the Ritz
+    values of the first ``sx`` columns.  Without a moving window
+    ``stored`` stays 0."""
 
     v: np.ndarray
     lam: np.ndarray
     sx: int
+    stored: int = 0
     locked: int = 0
     np_: int = 0
     nw: int = 0
     ritz: bool = False                  # X holds Ritz vectors: project structurally
     p_coupling: np.ndarray | None = None    # phat' Abar phat, the next P block
-    store_x: list = field(default_factory=list)
-    store_vals: list = field(default_factory=list)
     shift_op: object = None             # inner-solve operator, rebuilt per theta
     shift_theta: float | None = None
 
-    @property
-    def stored(self):
-        return sum(len(vals) for vals in self.store_vals)
-
     def deflation(self):
-        """What W is kept B-orthogonal to: the store, X and P."""
-        span = self.v[:, : self.sx + self.np_]
-        if not self.store_x:
-            return span
-        return np.asfortranarray(np.hstack(self.store_x + [span]))
+        """What W is kept B-orthogonal to: the stored pairs, X and P."""
+        return self.v[:, : self.sx + self.np_]
 
-    def fold(self, room):
-        """Make the store, X and P the new X, unlocked, in an array with
-        ``room`` spare columns, so the next pass projects them afresh."""
-        span = self.deflation()
-        k = span.shape[1]
-        self.v = mv_new(span.shape[0], k + room)
-        self.v[:, :k] = span
-        self.lam = np.zeros(k + room)
-        self.sx, self.locked, self.np_, self.nw = k, 0, 0, 0
+    def fold(self):
+        """Make the stored pairs, X and P the new X, unlocked, so the next
+        pass projects them afresh."""
+        self.sx += self.np_
+        self.stored = self.locked = self.np_ = self.nw = 0
         self.ritz = False
-        self.store_x, self.store_vals = [], []
 
     def lock(self, x_new, lam_new, c):
         """Write the new Ritz block over the active X; lock X's first ``c``."""
@@ -342,27 +326,23 @@ def _project(win, a, basis):
 
 
 def _slide(win, full, basis, newly, bs, n, b_op, ocfg, seed):
-    """Moving window: emit every verified pair to the store and keep the
-    rest of the projected spectrum ``full`` as the new, narrower window.  A
-    window left narrower than ``bs`` is topped up with random directions,
-    and X then no longer holds Ritz vectors.  Returns the reductions spent."""
-    x_all = np.matmul(basis, full.vectors, out=mv_new(n, full.vectors.shape[1]))
-    # emitted pairs = columns locked in earlier passes plus the prefix
-    # verified just now; the projected basis only spans the unlocked part,
-    # so those two groups live in different arrays
-    lo = win.locked
-    win.store_x.append(np.asfortranarray(np.hstack([win.v[:, :lo], x_all[:, :newly]])))
-    win.store_vals.append(np.concatenate([win.lam[:lo], full.values[:newly]]))
-    win.sx = x_all.shape[1] - newly
-    win.v[:, : win.sx] = x_all[:, newly:]
-    win.lam[: win.sx] = full.values[newly:]
-    win.locked = win.np_ = win.nw = 0
-    if win.sx >= bs:
+    """Moving window: the locked columns and the verified prefix of the
+    projected spectrum ``full`` become stored pairs, and the rest of it the
+    new, narrower window.  A window left narrower than ``bs`` is topped up
+    with random directions, and X then no longer holds Ritz vectors.
+    Returns the reductions spent."""
+    lo, m = win.locked, full.vectors.shape[1]
+    win.v[:, lo : lo + m] = np.matmul(basis, full.vectors, out=mv_new(n, m))
+    win.lam[lo : lo + m] = full.values
+    win.stored = win.locked = lo + newly
+    win.sx = lo + m
+    win.np_ = win.nw = 0
+    if win.sx - win.stored >= bs:
         return 0
     # narrow late windows can be exhausted before the wanted count is
     # reached: refill and let the next pass project from scratch
     win.ritz = False
-    add = min(3 * bs, n - win.stored) - win.sx
+    add = min(win.stored + 3 * bs, n) - win.sx
     red = 0
     if add > 0:
         fresh = win.v[:, win.sx : win.sx + add]
@@ -370,7 +350,7 @@ def _slide(win, full, basis, newly, bs, n, b_op, ocfg, seed):
         out = orth_against(fresh, win.deflation(), b=b_op, cfg=ocfg)
         red = out.reduction_count
         win.sx += out.num_kept
-    if win.sx <= 0:
+    if win.sx <= win.stored:
         raise AllDependent("moving window could not be refilled")
     return red
 
@@ -407,7 +387,7 @@ def _damp(win, a, b_op, width, theta, cfg):
 
 
 def _orth_w(win, b_op, ocfg, width, seed):
-    """Deflate W against the store, X and P and B-orthonormalize it.  A
+    """Deflate W against the stored pairs, X and P and B-orthonormalize it.  A
     block that collapses into that span is replaced once by random
     directions so the search still widens.  Returns the reductions spent."""
     start = win.sx + win.np_
@@ -438,11 +418,21 @@ def gcg_solve(a, b=None, config=None):
         raise InvalidShape(f"B dim {b_op.dim} != A dim {n}")
     if cfg.max_gcg_iters < 1:
         raise InvalidShape(f"max_gcg_iters must be at least 1, got {cfg.max_gcg_iters}")
+    if not cfg.tol > 0:
+        raise InvalidShape(f"tol must be positive, got {cfg.tol}")
+    if cfg.cg_max_iters < 0:
+        raise InvalidShape(f"cg_max_iters must be at least 0, got {cfg.cg_max_iters}")
+    if not cfg.cg_rel_tol >= 0:
+        raise InvalidShape(f"cg_rel_tol must be at least 0, got {cfg.cg_rel_tol}")
     ne = int(cfg.num_eigen)
     bs, sx = resolve_block_sizes(cfg, n)
     ocfg = cfg.orth
 
-    win = _Window(mv_new(n, sx + 2 * bs), np.zeros(sx + 2 * bs), sx)
+    # a moving run holds its stored pairs, an X of at most 3*bs columns past
+    # them, and P and W of at most bs each; the stored pairs and W together
+    # stay within num_eigen, so ne + 4*bs columns hold all of it
+    cols = ne + 4 * bs if cfg.moving else sx + 2 * bs
+    win = _Window(mv_new(n, cols), np.zeros(cols), sx)
     try:
         start_red = _starting_block(win.v, sx, b_op, ocfg, cfg.seed)
     except AllDependent:
@@ -469,41 +459,41 @@ def gcg_solve(a, b=None, config=None):
         x_new = np.matmul(basis, dec.vectors, out=mv_new(n, dec.vectors.shape[1]))
         timer.lap("t_step3")
 
-        stored = win.stored
-        limit = max(0, min(win.sx - win.locked, ne - stored - win.locked))
+        limit = max(0, min(win.sx, ne) - win.locked)
         newly, first_res = _count_converged(a, b_op, x_new, dec.values, limit, bs, cfg.tol)
         c = win.locked + newly
         # one record per iteration, filled in as the phases run
         rec = IterationRecord(
-            it, stored + c, first_res, 0.0, 0, basis.shape[1], 0, timer.marks, None, defect
+            it, c, first_res, 0.0, 0, basis.shape[1], 0, timer.marks, None, defect
         )
         history.append(rec)
         timer.lap("t_step4")
-        if rec.num_converged >= ne:
+        if c >= ne:
             win.lock(x_new, dec.values, c)
             # unlike every other record's, this theta is taken after locking
-            rec.theta = select_shift(cfg.shift_mode, win.lam, win.locked, win.store_vals)
+            rec.theta = select_shift(cfg.shift_mode, win.lam, win.locked)
             status = "converged"
             break
 
         win.ritz = True
         # a narrow late window can fill up before the 2*bs mark; it slides too
-        slide = cfg.moving and c > 0 and (c >= 2 * bs or c >= win.sx)
+        slide = cfg.moving and c > win.stored and (c - win.stored >= 2 * bs or c >= win.sx)
         if slide:
             rec.orth_reductions += _slide(
                 win, full, basis, newly, bs, n, b_op, ocfg, cfg.seed + 104729 * it
             )
-            c = 0
+            c = win.locked
         timer.lap("t_step4")
 
-        rec.theta = select_shift(cfg.shift_mode, win.lam, win.locked, win.store_vals)
+        rec.theta = select_shift(cfg.shift_mode, win.lam, win.locked)
         if win.ritz:   # else the refilled window is projected afresh first
-            width = max(1, min(bs, ne - win.stored - c, win.sx - c))
+            width = max(1, min(bs, ne - c, win.sx - c))
             if not slide:
                 _lock_and_momentum(win, basis, abar, x_new, dec, c, width, ocfg.dependence_tol)
+            del x_new   # in v now, or replaced by the slide: free it before CG
             timer.lap("t_step5")
-            # W never reaches past the dimension the store, X and P leave
-            width = min(width, n - win.stored - win.sx - win.np_)
+            # W never reaches past the dimension the stored pairs, X and P leave
+            width = min(width, n - win.sx - win.np_)
             win.nw = 0
             if width > 0:
                 cg = _damp(win, a, b_op, width, rec.theta, cfg)
@@ -513,32 +503,30 @@ def gcg_solve(a, b=None, config=None):
                 timer.lap("t_step6")
                 rec.orth_reductions += _orth_w(win, b_op, ocfg, width, cfg.seed + 7919 * it)
                 timer.lap("t_step2")
-            elif win.store_x:
-                # they span the whole space, and the store's own errors put a
-                # floor under the last residuals: fold the store back in
-                win.fold(2 * bs)
+            elif win.stored:
+                # they span the whole space, and the stored pairs' own errors
+                # put a floor under the last residuals: fold them back in
+                win.fold()
         if cfg.instrument_orth:
-            span = win.v[:, : win.sx + win.np_ + win.nw]
+            span = win.v[:, win.stored : win.sx + win.np_ + win.nw]
             gram = mv_inner_prod(span, span, b=b_op)
             rec.basis_defect = float(np.abs(gram - np.eye(gram.shape[0])).max())
 
-    # ascending order: the store first, then the live window, padded past
-    # its locked prefix with unconverged Ritz pairs up to num_eigen
-    stored = win.stored
-    k = min(ne - stored, win.sx)
-    values = np.concatenate(win.store_vals + [win.lam[:k]])
-    vectors = np.asfortranarray(np.hstack(win.store_x + [win.v[:, :k]]))
-    residuals = np.fromiter(_residuals(a, b_op, vectors, values, bs), float, values.shape[0])
+    # ascending order: the stored pairs, then the live window, padded past
+    # its locked prefix with unconverged Ritz pairs up to num_eigen; the
+    # copies keep a report from pinning the whole basis
+    k = min(ne, win.sx)
+    residuals = np.fromiter(_residuals(a, b_op, win.v[:, :k], win.lam, bs), float, k)
 
     return SolverReport(
         status=status,
-        eigenvalues=values,
-        eigenvectors=vectors,
-        num_converged=min(stored + win.locked, ne),
+        eigenvalues=win.lam[:k].copy(),
+        eigenvectors=win.v[:, :k].copy(order="F"),
+        num_converged=min(win.locked, ne),
         iterations=len(history),
         residuals=residuals,
         history=history,
-        stagnated=_stagnation_flag(history, cfg.stall_window),
+        stagnated=_stagnation_flag(history, _STALL_WINDOW),
         max_projection_dim=max(rec.basis_size for rec in history),
         total_reductions=start_red + sum(rec.orth_reductions for rec in history),
     )

@@ -303,10 +303,14 @@ def test_acceptance_10_linear_scaling(capsys):
     nes = [10, 20, 40, 80]
     times = []
     for ne in nes:
-        t0 = time.perf_counter()
-        rep = gcg_solve(a, config=SolverConfig(num_eigen=ne, tol=1e-8, seed=1))
-        times.append(time.perf_counter() - t0)
-        assert rep.status == "converged", f"ne={ne} did not converge"
+        # the fastest of three solves, so a stall of the host does not count
+        best = math.inf
+        for _ in range(3):
+            t0 = time.perf_counter()
+            rep = gcg_solve(a, config=SolverConfig(num_eigen=ne, tol=1e-8, seed=1))
+            best = min(best, time.perf_counter() - t0)
+            assert rep.status == "converged", f"ne={ne} did not converge"
+        times.append(best)
     x = np.array(nes, dtype=float)
     y = np.array(times)
     design = np.vstack([x, np.ones(len(x))]).T

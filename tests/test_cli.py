@@ -151,15 +151,21 @@ def test_deterministic_records_are_byte_identical(tmp_path, capsys, problem):
     assert all(float(row[c]) == 0.0 for row in rows for c in timing_cols)
 
 
-def test_block_size_below_one_exits_1(capsys):
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--block-size", "0", "block_size must be at least 1"),
+        ("--tol", "0", "tol must be positive"),
+        ("--cg-max-iters", "-1", "cg_max_iters must be at least 0"),
+    ],
+    ids=["block-size", "tol", "cg-max-iters"],
+)
+def test_bad_solver_argument_exits_1(capsys, flag, value, message):
     code = run_cli(
-        [
-            "--builtin", "diag-range", "--n", "30", "--num-eigen", "3",
-            "--block-size", "0",
-        ]
+        ["--builtin", "diag-range", "--n", "30", "--num-eigen", "3", flag, value]
     )
     assert code == EXIT_ERROR
-    assert "error: block_size must be at least 1" in capsys.readouterr().err
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_shift_flag_changes_theta_column(tmp_path, capsys):

@@ -100,6 +100,9 @@ def test_moving_window_matches_plain_run():
     assert np.abs(plain.eigenvalues - moving.eigenvalues).max() <= 1e-7
     assert moving.max_projection_dim <= 5 * 8
     assert moving.residuals.max() <= 1e-7
+    # the pairs are copied out of the basis array, in ascending order
+    assert moving.eigenvalues.flags.owndata and moving.eigenvectors.flags.owndata
+    assert np.all(np.diff(moving.eigenvalues) >= 0)
 
 
 @pytest.mark.parametrize(
@@ -175,8 +178,7 @@ def test_stagnation_is_flagged_not_fatal():
     # tol is unreachable, so nothing ever locks; block_size covers all three
     # columns so each keeps receiving refinement directions until they floor
     cfg = SolverConfig(
-        num_eigen=3, tol=1e-30, block_size=3, max_gcg_iters=60,
-        stall_window=5, seed=9,
+        num_eigen=3, tol=1e-30, block_size=3, max_gcg_iters=60, seed=9,
     )
     rep = gcg_solve(np.diag(np.arange(1.0, 21.0)), config=cfg)
     assert rep.status == "max_iterations"
@@ -200,6 +202,14 @@ def test_argument_validation():
     for bs in (0, -2):
         with pytest.raises(InvalidShape):
             gcg_solve(a, config=SolverConfig(num_eigen=2, block_size=bs))
+    for tol in (0.0, -1.0, float("nan")):
+        with pytest.raises(InvalidShape, match="tol must be positive"):
+            gcg_solve(a, config=SolverConfig(num_eigen=2, tol=tol))
+    with pytest.raises(InvalidShape, match="cg_max_iters"):
+        gcg_solve(a, config=SolverConfig(num_eigen=2, cg_max_iters=-1))
+    for rel in (-0.5, float("nan")):
+        with pytest.raises(InvalidShape, match="cg_rel_tol"):
+            gcg_solve(a, config=SolverConfig(num_eigen=2, cg_rel_tol=rel))
 
 
 def test_history_bookkeeping():
@@ -257,7 +267,7 @@ def test_select_shift_rules():
     assert select_shift("none", lam, 2) == 0.0
     assert select_shift("dynamic", lam, 0) == 0.0
     assert select_shift("dynamic", lam, 2) == 1.5
-    assert select_shift("dynamic", lam, 1, [np.array([3.0, 4.0])]) == 4.0
+    assert select_shift("dynamic", lam, 3) == 2.5
     with pytest.raises(InvalidShape):
         select_shift("wat", lam, 0)
 
@@ -318,7 +328,8 @@ _SIZE_EDGES = {
 def test_block_sizes_resolve_at_the_edges(monkeypatch, capsys, case, expect):
     """resolve_block_sizes, the sizes the solver works with and the CLI's
     recorded config agree with the pinned values; the first block the solver
-    allocates is sx + 2*bs wide and its first projection spans sx columns."""
+    allocates is ne + 4*bs wide for a moving window and sx + 2*bs otherwise,
+    and its first projection spans sx columns."""
     n, ne, bs, sx, moving = case
     widths = []
     real_new = gcgeig.solver.mv_new
@@ -332,7 +343,7 @@ def test_block_sizes_resolve_at_the_edges(monkeypatch, capsys, case, expect):
     assert resolve_block_sizes(cfg, n) == expect
     rep = gcg_solve(np.diag(np.arange(1.0, n + 1.0)), config=cfg)
     assert rep.history[0].basis_size == expect[1]
-    assert widths[0] == expect[1] + 2 * expect[0]
+    assert widths[0] == (ne + 4 * expect[0] if moving else expect[1] + 2 * expect[0])
     if sx is None:
         argv = ["--builtin", "diag-range", "--n", str(n), "--num-eigen", str(ne)]
         argv += [] if bs is None else ["--block-size", str(bs)]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -331,10 +332,14 @@ def generate_builtin(kind, n, density=0.005, seed=0):
         raise UnknownGenerator(
             f"unknown generator {kind!r}; choose from {', '.join(GENERATOR_NAMES)}"
         ) from None
-    n = int(n)
+    n, density, seed = int(n), float(density), int(seed)
     if n < 2:
         raise InvalidShape(f"generator needs n >= 2, got {n}")
-    return gen(n, float(density), int(seed))
+    if not (math.isfinite(density) and density >= 0.0):
+        raise InvalidShape(f"density must be finite and at least 0, got {density}")
+    if seed < 0:
+        raise InvalidShape(f"generator seed must be at least 0, got {seed}")
+    return gen(n, density, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -27,19 +27,13 @@ def mv_set_random(x, seed):
     return x
 
 
-def mv_inner_prod(x, y, b=None, out=None):
-    """Gram block out[r, c] = <x_r, B y_c> written straight into ``out``.
+def mv_inner_prod(x, y):
+    """Gram block ``x' y`` as a new F-order array.
 
-    ``out`` may be any strided 2-D view (for example a submatrix of a larger
-    projected matrix); only the viewed entries are written and no workspace
-    larger than the view is used by the reduction itself.
+    The product is written into an F-order output because the output layout
+    changes the BLAS rounding, and the solver's numbers are pinned to it.
     """
     if x.shape[0] != y.shape[0]:
         raise InvalidShape(f"row dims differ: {x.shape[0]} vs {y.shape[0]}")
-    if out is None:
-        out = np.zeros((x.shape[1], y.shape[1]), dtype=np.float64, order="F")
-    elif out.shape != (x.shape[1], y.shape[1]):
-        raise InvalidShape(f"out shape {out.shape} != ({x.shape[1]}, {y.shape[1]})")
-    by = y if b is None else b.apply(y)
-    np.matmul(x.T, by, out=out)
-    return out
+    out = np.zeros((x.shape[1], y.shape[1]), dtype=np.float64, order="F")
+    return np.matmul(x.T, y, out=out)

@@ -9,10 +9,10 @@ Two schemes are provided:
   well conditioned (each repeat loop settles in a single pass).
 
 * ``recursive_orth_svd`` - splits the columns in halves recursively;
-  blocks at or below the leaf width c are orthonormalized by scaled
+  blocks at or below the leaf width c = 16 are orthonormalized by scaled
   spectral factorizations of their Gram matrix, and the right half of every
-  split is deflated against the finished left half.  For m = 2^eta columns,
-  c = 16 and the nominal three Gram passes per leaf this costs m/4 - 1
+  split is deflated against the finished left half.  For m = 2^eta columns
+  and the nominal three Gram passes per leaf this costs m/4 - 1
   reductions.
 
 A "reduction" is one global inner-product round: a single fused
@@ -38,6 +38,14 @@ from .errors import AllDependent, InvalidRange, InvalidShape
 
 __all__ = ["OrthConfig", "OrthOutcome", "modified_block_orth", "recursive_orth_svd", "orth_against"]
 
+# Relative floor under which a Gram eigenvalue (squared column norm) marks a
+# dependent column; the solver's momentum block and B check use it too.
+DEPENDENCE_TOL = 1e-10
+# Width c at or below which the recursive scheme factorizes a block directly.
+_LEAF_WIDTH = 16
+# Passes a repeat-until loop may take before it stops regardless.
+_MAX_REORTH_PASSES = 3
+
 # A deflation pass that leaves a column with less than half its squared norm
 # may have cancelled badly; repeat it ("twice is enough").
 _DGKS_RATIO = 0.5
@@ -49,17 +57,14 @@ _REPAIR_RATIO = 1e-8
 class OrthConfig:
     """Tuning knobs shared by both schemes.
 
-    ``block_width`` (b) defaults to min(m//4, 200); ``svd_leaf`` (c) defaults
-    to min(m, 16).  ``reorth_tol`` is the max-abs-entry threshold for the
-    repeat-until tests; ``dependence_tol`` is the relative floor under which
-    a Gram eigenvalue (squared column norm) marks a dependent column.
+    ``block_width`` (b) defaults to min(m//4, 200).  ``reorth_tol`` is the
+    max-abs-entry threshold for the repeat-until tests.  The leaf width of
+    the recursive scheme is the constant c = 16, and the dependence floor
+    is :data:`DEPENDENCE_TOL`.
     """
 
     block_width: int | None = None
-    svd_leaf: int | None = None
     reorth_tol: float = 1e-10
-    dependence_tol: float = 1e-10
-    max_reorth_passes: int = 3
 
 
 @dataclass
@@ -130,7 +135,7 @@ def _deflate_against(ctx, basis, lo, hi):
     """
     cfg = ctx.cfg
     passes = 0
-    while passes < cfg.max_reorth_passes:
+    while passes < _MAX_REORTH_PASSES:
         hi = min(hi, ctx.active_end)
         if lo >= hi or basis.shape[1] == 0:
             return passes
@@ -169,11 +174,11 @@ def _leaf_svqb(ctx, lo, hi):
             return
         dec = gram_svd((m + m.T) / 2.0)
         ctx.note_scale(dec.values)
-        floor = cfg.dependence_tol * max(float(dec.values.max(initial=0.0)), 0.0)
+        floor = DEPENDENCE_TOL * max(float(dec.values.max(initial=0.0)), 0.0)
         bad = int(np.searchsorted(dec.values, floor, side="right"))
         if bad == 0:
             block[...] = block @ (dec.vectors / np.sqrt(dec.values))
-            if passes >= cfg.max_reorth_passes:
+            if passes >= _MAX_REORTH_PASSES:
                 return
             continue
         # rank deficiency: keep the well-conditioned part in the leading
@@ -193,7 +198,7 @@ def _recurse_svd(ctx, lo, hi):
     if lo >= hi:
         return
     width = hi - lo
-    if width <= ctx.leaf_width:
+    if width <= _LEAF_WIDTH:
         _leaf_svqb(ctx, lo, hi)
         return
     mid = lo + width // 2
@@ -216,9 +221,6 @@ def recursive_orth_svd(x, s=None, e=None, b=None, cfg=None):
         raise InvalidRange(f"column range {s}..{e} invalid for width {ncols}")
     lo, hi = s - 1, e
     ctx = _Ctx(x, b, cfg, lo, hi)
-    ctx.leaf_width = cfg.svd_leaf if cfg.svd_leaf is not None else min(hi - lo, 16)
-    if ctx.leaf_width < 1:
-        raise InvalidShape(f"svd_leaf must be >= 1, got {ctx.leaf_width}")
     _recurse_svd(ctx, lo, hi)
     kept = ctx.active_end - lo
     if kept <= 0:
@@ -232,7 +234,6 @@ def _mgs_block(ctx, start, stop):
     One fused reduction per column: its squared B-norm plus the projections
     onto the remaining columns of the block.
     """
-    cfg = ctx.cfg
     j = start
     while j < min(stop, ctx.active_end):
         stop = min(stop, ctx.active_end)
@@ -244,7 +245,7 @@ def _mgs_block(ctx, start, stop):
         if j == ctx.start and ctx.reductions == 1:
             _seed_local_norms(ctx)
         ctx.note_scale([nrm2])
-        if nrm2 <= cfg.dependence_tol * ctx.scale:
+        if nrm2 <= DEPENDENCE_TOL * ctx.scale:
             if not ctx.pull_rear(j):
                 return  # no replacements left; block (and call) truncated
             if j > ctx.start:
@@ -279,7 +280,7 @@ def _block_deflate(ctx, start, stop):
     """
     cfg = ctx.cfg
     passes = 0
-    while passes < cfg.max_reorth_passes:
+    while passes < _MAX_REORTH_PASSES:
         stop = min(stop, ctx.active_end)
         rest = ctx.x[:, stop : ctx.active_end]
         if rest.shape[1] == 0 or stop <= start:

@@ -10,8 +10,11 @@ factorizing anything.  Each iteration works in the subspace spanned by
 * P carries the momentum directions: the part of the previous step kept
   out of span(X), built purely in coefficient space.
 * W is a damped inverse power update: a few CG sweeps on
-  ``(A - theta*B) W = B X (Lambda - theta)`` started from X, where theta
-  is the largest converged eigenvalue so far ("dynamic" shift) or 0.
+  ``(A - theta*B) W = B X (Lambda - theta)`` started from X.  The
+  "dynamic" theta is the largest converged eigenvalue so far; before any
+  converges it is 0, or 10% below the lowest Ritz value when that is
+  negative, so an indefinite A still draws the step to the bottom of its
+  spectrum and not to the eigenvalues nearest 0.  Shift "none" keeps 0.
 
 The projected matrix is assembled structurally - the X block is the
 diagonal of Ritz values, the X-P block vanishes by construction, the P
@@ -43,7 +46,7 @@ from .dense import sym_eig_range  # noqa: F401
 from .errors import AllDependent, InvalidMatrix, InvalidShape
 from .multivec import mv_inner_prod, mv_new, mv_set_random
 from .operators import ShiftedOperator, as_operator
-from .orth import OrthConfig, orth_against, recursive_orth_svd
+from .orth import DEPENDENCE_TOL, orth_against, recursive_orth_svd
 
 __all__ = [
     "SolverConfig",
@@ -64,17 +67,12 @@ class SolverConfig:
     num_eigen: int = 1
     tol: float = 1e-8
     block_size: int | None = None      # default ceil(num_eigen / 5)
-    size_x: int | None = None          # default min(num_eigen + 3*block_size, n)
     max_gcg_iters: int = 1000
     cg_max_iters: int = 30
     cg_rel_tol: float = 0.01
     shift_mode: str = "dynamic"        # "dynamic" | "none"
     moving: bool = False
     seed: int = 0
-    orth: OrthConfig = field(default_factory=OrthConfig)
-    # test / diagnostics plumbing
-    instrument_orth: bool = False      # measure max|V'BV - I| every iteration
-    cross_check_abar: bool = False     # rebuild the projected matrix naively
 
 
 @dataclass
@@ -82,13 +80,12 @@ class IterationRecord:
     iteration: int
     num_converged: int
     first_unconverged_residual: float
-    theta: float
-    cg_iterations: int
     basis_size: int
-    orth_reductions: int
+    # filled in as the phases run
+    theta: float = 0.0
+    cg_iterations: int = 0
+    orth_reductions: int = 0
     timings: dict = field(default_factory=dict)
-    basis_defect: float | None = None
-    abar_defect: float | None = None
     cg_converged: int = 0              # inner CG columns that met rel_tol
     cg_frozen: int = 0                 # inner CG columns stopped on nonpositive curvature
 
@@ -115,8 +112,9 @@ def moving_memory_budget(size_x, block_size):
 
 
 def resolve_block_sizes(config, n):
-    """The ``(block_size, size_x)`` a solve of dimension ``n`` works with,
-    defaults filled in; the moving window ignores ``size_x``."""
+    """The ``(block_size, size_x)`` a solve of dimension ``n`` works with:
+    X is ``num_eigen + 3*block_size`` wide, or ``3*block_size`` for the
+    moving window, and never wider than ``n``."""
     ne = int(config.num_eigen)
     if not (1 <= ne <= n):
         raise InvalidShape(f"num_eigen must be in 1..{n}, got {ne}")
@@ -126,16 +124,19 @@ def resolve_block_sizes(config, n):
     bs = min(bs, n)
     if config.moving:
         return bs, min(3 * bs, n)
-    sx = config.size_x if config.size_x is not None else min(ne + 3 * bs, n)
-    return bs, min(max(sx, ne), n)
+    return bs, min(ne + 3 * bs, n)
 
 
 def select_shift(mode, lam, num_locked):
-    """Damping shift: the largest eigenvalue locked so far, else 0."""
+    """Damping shift: the largest eigenvalue locked so far.  Before any is
+    locked, 0, or 10% below the lowest Ritz value when that is negative."""
     if mode not in ("dynamic", "none"):
         raise InvalidShape(f"unknown shift mode {mode!r}")
-    if mode == "none" or num_locked <= 0:
+    if mode == "none":
         return 0.0
+    if num_locked <= 0:
+        low = float(lam[0])
+        return low - 0.1 * abs(low) if low < 0.0 else 0.0
     return float(lam[num_locked - 1])
 
 
@@ -181,7 +182,7 @@ def _count_converged(a, b_op, x_new, lam_new, limit, chunk, tol):
     return count, 0.0
 
 
-def _build_p(coeffs, num_x_rows, group_start, group_width, dep_tol):
+def _build_p(coeffs, num_x_rows, group_start, group_width):
     """Momentum coefficients: the active group of the new Ritz coefficients
     with the X rows zeroed, deflated against all of them, orthonormalized.
     Returns None when nothing independent is left (always at the first
@@ -195,14 +196,14 @@ def _build_p(coeffs, num_x_rows, group_start, group_width, dep_tol):
         pt -= coeffs @ (coeffs.T @ pt)
     g = pt.T @ pt
     dec = gram_svd((g + g.T) / 2.0)
-    floor = dep_tol * max(float(dec.values.max(initial=0.0)), 0.0)
+    floor = DEPENDENCE_TOL * max(float(dec.values.max(initial=0.0)), 0.0)
     bad = int(np.searchsorted(dec.values, floor, side="right"))
     if bad >= group_width:
         return None
     q = pt @ (dec.vectors[:, bad:] / np.sqrt(dec.values[bad:]))
     # Columns kept just above the dependence floor get rescaled by huge
     # factors, which amplifies rounding residue from the deflation into
-    # O(dep_tol**-0.5)-level cross terms and norm errors.  One more
+    # O(DEPENDENCE_TOL**-0.5)-level cross terms and norm errors.  One more
     # deflate+normalize pass at unit scale pins the group at rounding level;
     # the coarse floor here drops columns that were mostly residue (a genuine
     # new direction re-enters this Gram with eigenvalue close to 1).
@@ -216,29 +217,29 @@ def _build_p(coeffs, num_x_rows, group_start, group_width, dep_tol):
     return q @ (dec.vectors[:, bad:] / np.sqrt(dec.values[bad:]))
 
 
-def _starting_block(v, sx, b_op, ocfg, seed):
+def _starting_block(v, sx, b_op, seed):
     """B-orthonormalize a random block into v[:, :sx], retrying the dropped
     columns once; returns the reductions spent."""
     mv_set_random(v[:, :sx], seed)
-    out = recursive_orth_svd(v, 1, sx, b=b_op, cfg=ocfg)
+    out = recursive_orth_svd(v, 1, sx, b=b_op)
     reductions = out.reduction_count
     if out.num_kept < sx:
         mv_set_random(v[:, out.num_kept : sx], seed + 9973)
-        out = recursive_orth_svd(v, 1, sx, b=b_op, cfg=ocfg)
+        out = recursive_orth_svd(v, 1, sx, b=b_op)
         reductions += out.reduction_count
         if out.num_kept < sx:
             raise AllDependent("could not build a full-rank starting block")
     return reductions
 
 
-def _check_b_definite(b_op, sx, seed, dep_tol):
+def _check_b_definite(b_op, sx, seed):
     """Raise InvalidMatrix when the B-Gram of the random starting block has
-    an eigenvalue below -dep_tol times its largest magnitude."""
+    an eigenvalue below -DEPENDENCE_TOL times its largest magnitude."""
     x = mv_set_random(mv_new(b_op.dim, sx), seed)
     g = x.T @ b_op.apply(x)
     vals = np.linalg.eigvalsh((g + g.T) / 2.0)
     scale = float(np.abs(vals).max(initial=0.0))
-    if vals[0] < -dep_tol * scale:
+    if vals[0] < -DEPENDENCE_TOL * scale:
         raise InvalidMatrix(
             f"B is not positive definite: the Gram of the starting block has "
             f"eigenvalue {vals[0]:.3g} (largest magnitude {scale:.3g})"
@@ -325,7 +326,7 @@ def _project(win, a, basis):
     return (abar + abar.T) / 2.0
 
 
-def _slide(win, full, basis, newly, bs, n, b_op, ocfg, seed):
+def _slide(win, full, basis, newly, bs, n, b_op, seed):
     """Moving window: the locked columns and the verified prefix of the
     projected spectrum ``full`` become stored pairs, and the rest of it the
     new, narrower window.  A window left narrower than ``bs`` is topped up
@@ -347,7 +348,7 @@ def _slide(win, full, basis, newly, bs, n, b_op, ocfg, seed):
     if add > 0:
         fresh = win.v[:, win.sx : win.sx + add]
         mv_set_random(fresh, seed)
-        out = orth_against(fresh, win.deflation(), b=b_op, cfg=ocfg)
+        out = orth_against(fresh, win.deflation(), b=b_op)
         red = out.reduction_count
         win.sx += out.num_kept
     if win.sx <= win.stored:
@@ -355,10 +356,10 @@ def _slide(win, full, basis, newly, bs, n, b_op, ocfg, seed):
     return red
 
 
-def _lock_and_momentum(win, basis, abar, x_new, dec, c, group, dep_tol):
+def _lock_and_momentum(win, basis, abar, x_new, dec, c, group):
     """Lock the converged prefix of the new Ritz block and build the
     momentum block P from the coefficients of the next ``group`` columns."""
-    phat = _build_p(dec.vectors, win.sx - win.locked, c - win.locked, group, dep_tol)
+    phat = _build_p(dec.vectors, win.sx - win.locked, c - win.locked, group)
     win.np_ = 0 if phat is None else phat.shape[1]
     if win.np_:
         win.p_coupling = phat.T @ (abar @ phat)
@@ -386,7 +387,7 @@ def _damp(win, a, b_op, width, theta, cfg):
     return rep
 
 
-def _orth_w(win, b_op, ocfg, width, seed):
+def _orth_w(win, b_op, width, seed):
     """Deflate W against the stored pairs, X and P and B-orthonormalize it.  A
     block that collapses into that span is replaced once by random
     directions so the search still widens.  Returns the reductions spent."""
@@ -398,7 +399,7 @@ def _orth_w(win, b_op, ocfg, width, seed):
         if attempt:
             mv_set_random(w, seed)
         try:
-            out = orth_against(w, defl, b=b_op, cfg=ocfg)
+            out = orth_against(w, defl, b=b_op)
         except AllDependent:
             continue
         win.nw = out.num_kept
@@ -424,9 +425,10 @@ def gcg_solve(a, b=None, config=None):
         raise InvalidShape(f"cg_max_iters must be at least 0, got {cfg.cg_max_iters}")
     if not cfg.cg_rel_tol >= 0:
         raise InvalidShape(f"cg_rel_tol must be at least 0, got {cfg.cg_rel_tol}")
+    if cfg.seed < 0:
+        raise InvalidShape(f"seed must be at least 0, got {cfg.seed}")
     ne = int(cfg.num_eigen)
     bs, sx = resolve_block_sizes(cfg, n)
-    ocfg = cfg.orth
 
     # a moving run holds its stored pairs, an X of at most 3*bs columns past
     # them, and P and W of at most bs each; the stored pairs and W together
@@ -434,10 +436,10 @@ def gcg_solve(a, b=None, config=None):
     cols = ne + 4 * bs if cfg.moving else sx + 2 * bs
     win = _Window(mv_new(n, cols), np.zeros(cols), sx)
     try:
-        start_red = _starting_block(win.v, sx, b_op, ocfg, cfg.seed)
+        start_red = _starting_block(win.v, sx, b_op, cfg.seed)
     except AllDependent:
         if b_op is not None:
-            _check_b_definite(b_op, sx, cfg.seed, ocfg.dependence_tol)
+            _check_b_definite(b_op, sx, cfg.seed)
         raise
 
     history, status = [], "max_iterations"
@@ -445,10 +447,6 @@ def gcg_solve(a, b=None, config=None):
         timer = _Timer()
         basis = win.v[:, win.locked : win.sx + win.np_ + win.nw]   # active X, P, W
         abar = _project(win, a, basis)
-        defect = None
-        if cfg.cross_check_abar and win.ritz:
-            naive = mv_inner_prod(basis, a.apply(basis))
-            defect = float(np.abs(abar - (naive + naive.T) / 2.0).max())
         timer.lap("t_step3")
 
         # the whole spectrum: the Ritz block is its leading columns, and a
@@ -464,7 +462,11 @@ def gcg_solve(a, b=None, config=None):
         c = win.locked + newly
         # one record per iteration, filled in as the phases run
         rec = IterationRecord(
-            it, c, first_res, 0.0, 0, basis.shape[1], 0, timer.marks, None, defect
+            iteration=it,
+            num_converged=c,
+            first_unconverged_residual=first_res,
+            basis_size=basis.shape[1],
+            timings=timer.marks,
         )
         history.append(rec)
         timer.lap("t_step4")
@@ -480,7 +482,7 @@ def gcg_solve(a, b=None, config=None):
         slide = cfg.moving and c > win.stored and (c - win.stored >= 2 * bs or c >= win.sx)
         if slide:
             rec.orth_reductions += _slide(
-                win, full, basis, newly, bs, n, b_op, ocfg, cfg.seed + 104729 * it
+                win, full, basis, newly, bs, n, b_op, cfg.seed + 104729 * it
             )
             c = win.locked
         timer.lap("t_step4")
@@ -489,7 +491,7 @@ def gcg_solve(a, b=None, config=None):
         if win.ritz:   # else the refilled window is projected afresh first
             width = max(1, min(bs, ne - c, win.sx - c))
             if not slide:
-                _lock_and_momentum(win, basis, abar, x_new, dec, c, width, ocfg.dependence_tol)
+                _lock_and_momentum(win, basis, abar, x_new, dec, c, width)
             del x_new   # in v now, or replaced by the slide: free it before CG
             timer.lap("t_step5")
             # W never reaches past the dimension the stored pairs, X and P leave
@@ -501,16 +503,12 @@ def gcg_solve(a, b=None, config=None):
                 rec.cg_converged = int(cg.converged.sum())
                 rec.cg_frozen = int(cg.frozen.sum())
                 timer.lap("t_step6")
-                rec.orth_reductions += _orth_w(win, b_op, ocfg, width, cfg.seed + 7919 * it)
+                rec.orth_reductions += _orth_w(win, b_op, width, cfg.seed + 7919 * it)
                 timer.lap("t_step2")
             elif win.stored:
                 # they span the whole space, and the stored pairs' own errors
                 # put a floor under the last residuals: fold them back in
                 win.fold()
-        if cfg.instrument_orth:
-            span = win.v[:, win.stored : win.sx + win.np_ + win.nw]
-            gram = mv_inner_prod(span, span, b=b_op)
-            rec.basis_defect = float(np.abs(gram - np.eye(gram.shape[0])).max())
 
     # ascending order: the stored pairs, then the live window, padded past
     # its locked prefix with unconverged Ritz pairs up to num_eigen; the

@@ -27,6 +27,8 @@ from gcgeig import (
 )
 from gcgeig.cg import block_cg
 
+from conftest import measure_projections
+
 
 def _verdict(capsys, num, name, ok, detail):
     with capsys.disabled():
@@ -52,53 +54,45 @@ def _dense_of(op):
 
 
 def _suite():
-    """(label, A, B, report, tol) for a spread of converged problems."""
+    """(label, A, B, report, tol, basis defects) for a spread of converged
+    problems; the defects are max|V'BV - I| before each projection."""
     runs = []
 
     a, _ = generate_builtin("laplacian1d", 300)
-    rep = gcg_solve(
-        a, config=SolverConfig(num_eigen=10, tol=1e-8, seed=0, instrument_orth=True)
-    )
-    runs.append(("laplacian", _dense_of(a), None, rep, 1e-8))
+    with measure_projections() as (defects, _):
+        rep = gcg_solve(a, config=SolverConfig(num_eigen=10, tol=1e-8, seed=0))
+    runs.append(("laplacian", _dense_of(a), None, rep, 1e-8, defects))
 
     a, b = generate_builtin("fem1d-p1", 200)
-    rep = gcg_solve(
-        a, b, config=SolverConfig(num_eigen=8, tol=1e-8, seed=1, instrument_orth=True)
-    )
-    runs.append(("fem-pair", _dense_of(a), _dense_of(b), rep, 1e-8))
+    with measure_projections(b) as (defects, _):
+        rep = gcg_solve(a, b, config=SolverConfig(num_eigen=8, tol=1e-8, seed=1))
+    runs.append(("fem-pair", _dense_of(a), _dense_of(b), rep, 1e-8, defects))
 
     a, _ = generate_builtin("clustered-random", 256, density=0.02, seed=4)
-    rep = gcg_solve(
-        a, config=SolverConfig(num_eigen=12, tol=1e-8, seed=2, instrument_orth=True)
-    )
-    runs.append(("clustered", _dense_of(a), None, rep, 1e-8))
+    with measure_projections() as (defects, _):
+        rep = gcg_solve(a, config=SolverConfig(num_eigen=12, tol=1e-8, seed=2))
+    runs.append(("clustered", _dense_of(a), None, rep, 1e-8, defects))
 
     rng = np.random.default_rng(7)
     m = rng.standard_normal((60, 60))
     sym = np.asfortranarray((m + m.T) / 2.0)
-    rep = gcg_solve(
-        sym,
-        config=SolverConfig(
-            num_eigen=8, tol=1e-8, seed=3, max_gcg_iters=300, instrument_orth=True
-        ),
-    )
-    runs.append(("indefinite", np.asarray(sym), None, rep, 1e-8))
+    with measure_projections() as (defects, _):
+        rep = gcg_solve(
+            sym, config=SolverConfig(num_eigen=8, tol=1e-8, seed=3, max_gcg_iters=300)
+        )
+    runs.append(("indefinite", np.asarray(sym), None, rep, 1e-8, defects))
 
     a = _laplacian(400)
-    rep = gcg_solve(
-        a,
-        config=SolverConfig(
-            num_eigen=40,
-            block_size=8,
-            tol=1e-8,
-            seed=5,
-            moving=True,
-            instrument_orth=True,
-        ),
-    )
-    runs.append(("moving", a.toarray(), None, rep, 1e-8))
+    with measure_projections() as (defects, _):
+        rep = gcg_solve(
+            a,
+            config=SolverConfig(
+                num_eigen=40, block_size=8, tol=1e-8, seed=5, moving=True
+            ),
+        )
+    runs.append(("moving", a.toarray(), None, rep, 1e-8, defects))
 
-    for label, _, _, rep, _ in runs:
+    for label, _, _, rep, _, _ in runs:
         assert rep.status == "converged", f"fixture {label} did not converge"
     return runs
 
@@ -140,7 +134,7 @@ def test_acceptance_02_generalized_oracle(capsys):
 
 def test_acceptance_03_residual_criterion(capsys, suite):
     worst, worst_label = 0.0, ""
-    for label, da, db, rep, tol in suite:
+    for label, da, db, rep, tol, _ in suite:
         x = np.asarray(rep.eigenvectors)
         lam = np.asarray(rep.eigenvalues)
         ax = da @ x
@@ -165,10 +159,7 @@ def test_acceptance_03_residual_criterion(capsys, suite):
 
 def test_acceptance_04_orthogonality_suite(capsys, suite):
     worst, worst_label, checks = 0.0, "", 0
-    for label, _, _, rep, _ in suite:
-        defects = [
-            h.basis_defect for h in rep.history if h.basis_defect is not None
-        ]
+    for label, _, _, _, _, defects in suite:
         checks += len(defects)
         d = max(defects)
         if d > worst:
@@ -185,9 +176,7 @@ def test_acceptance_05_reduction_counts(capsys):
     x = np.asfortranarray(rng.standard_normal((256, 32)))
     blocked = modified_block_orth(x, cfg=OrthConfig(block_width=2))
     x2 = np.asfortranarray(rng.standard_normal((256, 32)))
-    recursive = recursive_orth_svd(
-        x2, cfg=OrthConfig(svd_leaf=16, reorth_tol=1e-15)
-    )
+    recursive = recursive_orth_svd(x2, cfg=OrthConfig(reorth_tol=1e-15))
     m, b = 32, 2
     ok = (
         blocked.reduction_count == m + m // b - 1
@@ -230,18 +219,10 @@ def test_acceptance_07_structured_projection(capsys):
         n = int(rng.integers(12, 61))
         m = rng.standard_normal((n, n))
         sym = np.asfortranarray((m + m.T) / 2.0)
-        cfg = SolverConfig(
-            num_eigen=3,
-            tol=1e-6,
-            seed=seed,
-            max_gcg_iters=6,
-            cross_check_abar=True,
-        )
-        rep = gcg_solve(sym, config=cfg)
-        worst = max(
-            worst,
-            max(h.abar_defect for h in rep.history if h.abar_defect is not None),
-        )
+        cfg = SolverConfig(num_eigen=3, tol=1e-6, seed=seed, max_gcg_iters=6)
+        with measure_projections() as (_, defects):
+            gcg_solve(sym, config=cfg)
+        worst = max(worst, max(defects))
     ok = worst <= 1e-10
     _verdict(
         capsys, 7, "structured-projection", ok,

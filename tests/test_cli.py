@@ -152,18 +152,19 @@ def test_deterministic_records_are_byte_identical(tmp_path, capsys, problem):
 
 
 @pytest.mark.parametrize(
-    "flag, value, message",
+    "flags, message",
     [
-        ("--block-size", "0", "block_size must be at least 1"),
-        ("--tol", "0", "tol must be positive"),
-        ("--cg-max-iters", "-1", "cg_max_iters must be at least 0"),
+        (["--block-size", "0"], "block_size must be at least 1"),
+        (["--tol", "0"], "tol must be positive"),
+        (["--cg-max-iters", "-1"], "cg_max_iters must be at least 0"),
+        (["--seed", "-1"], "seed must be at least 0"),
+        (["--builtin", "clustered-random", "--gen-seed", "-1"], "generator seed must be"),
+        (["--builtin", "clustered-random", "--density", "nan"], "density must be finite"),
     ],
-    ids=["block-size", "tol", "cg-max-iters"],
+    ids=["block-size", "tol", "cg-max-iters", "seed", "gen-seed", "density"],
 )
-def test_bad_solver_argument_exits_1(capsys, flag, value, message):
-    code = run_cli(
-        ["--builtin", "diag-range", "--n", "30", "--num-eigen", "3", flag, value]
-    )
+def test_bad_solver_argument_exits_1(capsys, flags, message):
+    code = run_cli(["--builtin", "diag-range", "--n", "30", "--num-eigen", "3", *flags])
     assert code == EXIT_ERROR
     assert f"error: {message}" in capsys.readouterr().err
 

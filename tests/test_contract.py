@@ -36,7 +36,7 @@ def test_converged_means_right(n, generalized, moving, ne):
         assert rep.num_converged == ne
         assert rep.eigenvalues.shape == (ne,)
     else:
-        # random indefinite A with a small num_eigen can stall (n=28, ne=1)
+        # random indefinite generalized problems can stall (n=37, ne=2)
         assert rep.status == "max_iterations"
         assert rep.num_converged < ne
     # every pair counted as converged is right, stalled run or not

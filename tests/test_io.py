@@ -115,6 +115,11 @@ def test_generator_errors():
         generate_builtin("laplacian2d", 10)
     with pytest.raises(InvalidShape):
         generate_builtin("laplacian1d", 1)
+    with pytest.raises(InvalidShape, match="generator seed"):
+        generate_builtin("clustered-random", 10, seed=-1)
+    for density in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(InvalidShape, match="density"):
+            generate_builtin("clustered-random", 10, density=density)
 
 
 # ---------------------------------------------------------------------------

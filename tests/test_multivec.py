@@ -1,9 +1,6 @@
 import numpy as np
-import pytest
 
-from gcgeig.errors import InvalidShape
 from gcgeig.multivec import mv_inner_prod, mv_new, mv_set_random
-from gcgeig.operators import DenseOperator
 
 
 def random_mv(rng, n, k):
@@ -51,32 +48,3 @@ class TestInnerProd:
                 expect[r, c] = acc
         got = mv_inner_prod(x, y)
         assert np.abs(got - expect).max() < 1e-13
-
-    def test_writes_into_strided_view_guard_untouched(self, rng):
-        x = random_mv(rng, 30, 3)
-        y = random_mv(rng, 30, 2)
-        parent = np.full((6, 5), 7.5, order="F")
-        view = parent[1:4, 1:3]
-        assert not view.flags.f_contiguous and not view.flags.c_contiguous
-        mv_inner_prod(x, y, out=view)
-        assert np.abs(view - x.T @ y).max() < 1e-12
-        mask = np.ones_like(parent, dtype=bool)
-        mask[1:4, 1:3] = False
-        assert np.all(parent[mask] == 7.5)
-
-    def test_b_weighted(self, rng):
-        n = 12
-        raw = rng.standard_normal((n, n))
-        spd = raw @ raw.T + n * np.eye(n)
-        b = DenseOperator(spd)
-        x = random_mv(rng, n, 3)
-        got = mv_inner_prod(x, x, b=b)
-        assert np.abs(got - x.T @ spd @ x).max() < 1e-10
-        # symmetry + PSD of the Gram block
-        assert np.abs(got - got.T).max() < 1e-10
-        assert np.linalg.eigvalsh((got + got.T) / 2).min() > 0
-
-    def test_out_shape_checked(self, rng):
-        x = random_mv(rng, 9, 2)
-        with pytest.raises(InvalidShape):
-            mv_inner_prod(x, x, out=np.zeros((3, 3)))

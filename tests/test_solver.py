@@ -13,6 +13,8 @@ from gcgeig.cli import run_cli
 from gcgeig.errors import InvalidMatrix, InvalidShape
 from gcgeig.solver import _build_p, moving_memory_budget, resolve_block_sizes, select_shift
 
+from conftest import measure_projections
+
 TRIDIAG = lambda n: scipy.sparse.diags(
     [-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1], format="csr"
 )
@@ -210,6 +212,8 @@ def test_argument_validation():
     for rel in (-0.5, float("nan")):
         with pytest.raises(InvalidShape, match="cg_rel_tol"):
             gcg_solve(a, config=SolverConfig(num_eigen=2, cg_rel_tol=rel))
+    with pytest.raises(InvalidShape, match="seed must be at least 0"):
+        gcg_solve(a, config=SolverConfig(num_eigen=2, seed=-1))
 
 
 def test_history_bookkeeping():
@@ -243,13 +247,9 @@ def test_instrumentation_defects_are_tiny():
     b = scipy.sparse.diags(
         [np.ones(99), 4.0 * np.ones(100), np.ones(99)], [-1, 0, 1], format="csr"
     )
-    cfg = SolverConfig(
-        num_eigen=6, seed=14, instrument_orth=True, cross_check_abar=True
-    )
-    rep = gcg_solve(a, b, cfg)
+    with measure_projections(b) as (defects, cross):
+        rep = gcg_solve(a, b, SolverConfig(num_eigen=6, seed=14))
     assert rep.status == "converged"
-    defects = [h.basis_defect for h in rep.history if h.basis_defect is not None]
-    cross = [h.abar_defect for h in rep.history if h.abar_defect is not None]
     assert defects and max(defects) <= 1e-9
     assert cross and max(cross) <= 1e-10
 
@@ -268,20 +268,37 @@ def test_select_shift_rules():
     assert select_shift("dynamic", lam, 0) == 0.0
     assert select_shift("dynamic", lam, 2) == 1.5
     assert select_shift("dynamic", lam, 3) == 2.5
+    # nothing locked and the lowest Ritz value negative: 10% below it
+    assert select_shift("dynamic", np.array([-2.0, 1.0]), 0) == -2.2
+    assert select_shift("none", np.array([-2.0, 1.0]), 0) == 0.0
     with pytest.raises(InvalidShape):
         select_shift("wat", lam, 0)
+
+
+def test_indefinite_lowest_pair_converges_before_anything_locks():
+    """With a zero shift the damped step amplifies the eigenvalues nearest
+    0; a shift below the lowest negative Ritz value aims it at the bottom
+    of the spectrum (110 iterations at a zero shift)."""
+    n = 28
+    rng = np.random.default_rng(n)
+    m = rng.standard_normal((n, n))
+    a = (m + m.T) / 2.0
+    rep = gcg_solve(a, config=SolverConfig(num_eigen=1, seed=n, max_gcg_iters=30))
+    assert rep.status == "converged"
+    ref = scipy.linalg.eigh(a, eigvals_only=True)[0]
+    assert abs(rep.eigenvalues[0] - ref) <= 1e-8 * max(1.0, abs(ref))
 
 
 def test_momentum_block_empty_on_square_coefficients():
     rng = np.random.default_rng(16)
     q = np.linalg.qr(rng.uniform(-1, 1, (6, 6)))[0]
-    assert _build_p(q, 6, 0, 2, 1e-10) is None
+    assert _build_p(q, 6, 0, 2) is None
 
 
 def test_momentum_block_is_orthonormal_and_deflated():
     rng = np.random.default_rng(17)
     q = np.linalg.qr(rng.uniform(-1, 1, (9, 6)))[0]  # tall: 3 extra rows
-    phat = _build_p(q, 6, 1, 2, 1e-10)
+    phat = _build_p(q, 6, 1, 2)
     assert phat.shape == (9, 2)
     assert np.abs(phat.T @ phat - np.eye(2)).max() <= 1e-12
     assert np.abs(q.T @ phat).max() <= 1e-12
@@ -312,15 +329,13 @@ def test_indefinite_b_raises_invalid_matrix():
         gcg_solve(a, b, SolverConfig(num_eigen=3))
 
 
-# (n, num_eigen, block_size, size_x, moving) -> resolved (block_size, size_x)
+# (n, num_eigen, block_size, moving) -> resolved (block_size, size_x)
 _SIZE_EDGES = {
-    "ne-eq-n": ((10, 10, None, None, False), (2, 10)),
-    "ne-eq-n-moving": ((10, 10, None, None, True), (2, 6)),
-    "bs-gt-n": ((10, 3, 50, None, False), (10, 10)),
-    "bs-gt-n-moving": ((10, 3, 50, None, True), (10, 10)),
-    "sx-lt-ne": ((40, 11, None, 2, False), (3, 11)),
-    "sx-lt-ne-moving": ((40, 11, None, 2, True), (3, 9)),   # moving ignores size_x
-    "defaults": ((100, 12, None, None, False), (3, 21)),
+    "ne-eq-n": ((10, 10, None, False), (2, 10)),
+    "ne-eq-n-moving": ((10, 10, None, True), (2, 6)),
+    "bs-gt-n": ((10, 3, 50, False), (10, 10)),
+    "bs-gt-n-moving": ((10, 3, 50, True), (10, 10)),
+    "defaults": ((100, 12, None, False), (3, 21)),
 }
 
 
@@ -330,7 +345,7 @@ def test_block_sizes_resolve_at_the_edges(monkeypatch, capsys, case, expect):
     recorded config agree with the pinned values; the first block the solver
     allocates is ne + 4*bs wide for a moving window and sx + 2*bs otherwise,
     and its first projection spans sx columns."""
-    n, ne, bs, sx, moving = case
+    n, ne, bs, moving = case
     widths = []
     real_new = gcgeig.solver.mv_new
 
@@ -339,18 +354,17 @@ def test_block_sizes_resolve_at_the_edges(monkeypatch, capsys, case, expect):
         return real_new(dim, cols)
 
     monkeypatch.setattr(gcgeig.solver, "mv_new", spy)
-    cfg = SolverConfig(num_eigen=ne, block_size=bs, size_x=sx, moving=moving, seed=1)
+    cfg = SolverConfig(num_eigen=ne, block_size=bs, moving=moving, seed=1)
     assert resolve_block_sizes(cfg, n) == expect
     rep = gcg_solve(np.diag(np.arange(1.0, n + 1.0)), config=cfg)
     assert rep.history[0].basis_size == expect[1]
     assert widths[0] == (ne + 4 * expect[0] if moving else expect[1] + 2 * expect[0])
-    if sx is None:
-        argv = ["--builtin", "diag-range", "--n", str(n), "--num-eigen", str(ne)]
-        argv += [] if bs is None else ["--block-size", str(bs)]
-        argv += ["--moving", "on" if moving else "off"]
-        run_cli(argv)
-        record = json.loads(capsys.readouterr().out)
-        assert (record["config"]["block_size"], record["config"]["size_x"]) == expect
+    argv = ["--builtin", "diag-range", "--n", str(n), "--num-eigen", str(ne)]
+    argv += [] if bs is None else ["--block-size", str(bs)]
+    argv += ["--moving", "on" if moving else "off"]
+    run_cli(argv)
+    record = json.loads(capsys.readouterr().out)
+    assert (record["config"]["block_size"], record["config"]["size_x"]) == expect
 
 
 def test_linear_operator_subclass_is_solved():

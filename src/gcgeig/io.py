@@ -1,16 +1,21 @@
 """Matrix ingestion, builtin problem generators, and run serialization.
 
-MatrixMarket reading is implemented here rather than delegated so that
-errors carry 1-based line numbers and the symmetric/duplicate semantics
-are exactly as documented: symmetric storage is expanded to full CSR,
-duplicate entries are summed, and entries end up sorted by (row, col).
+MatrixMarket bodies are parsed by numpy's C reader, ``np.loadtxt``.  A
+line walk runs only on a file that parse rejects, to give the error its
+1-based line number.  Numbers follow Python's ``int`` and ``float``,
+except that digit groups (``1_0``) are an error, as they are to numpy.
+Symmetric storage is expanded to full CSR, duplicate entries are summed,
+and entries end up sorted by (row, col).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import math
+import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,10 +65,6 @@ _INT_COLUMNS = frozenset(
 # MatrixMarket
 
 
-def _tokens(line):
-    return line.split()
-
-
 def _parse_banner(line):
     parts = line.split()
     if len(parts) != 5 or parts[0].lower() != "%%matrixmarket":
@@ -85,10 +86,21 @@ def _parse_banner(line):
     return fmt, symmetry
 
 
-def _read_lines(path):
+def _read_head(path):
+    """Banner, size-line tokens and number, and the text after the size line."""
     try:
         with open(path, "r", encoding="ascii", errors="replace") as fh:
-            return fh.readlines()
+            line = fh.readline()
+            if not line:
+                raise ParseError("empty file", line=1)
+            fmt, symmetry = _parse_banner(line)
+            # skip comments / blank lines up to the size line
+            lineno, line = 2, fh.readline()
+            while line and (line.lstrip().startswith("%") or not line.strip()):
+                lineno, line = lineno + 1, fh.readline()
+            if not line:
+                raise ParseError("missing size line", line=lineno)
+            return fmt, symmetry, line.split(), lineno, fh.read()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
 
@@ -107,6 +119,43 @@ def _float_field(tok, lineno):
         raise ParseError(f"bad value {tok!r}", line=lineno) from None
 
 
+def _walk(coordinate, body, first, shape, count, exc):
+    """Raise :class:`ParseError` at the first line of ``body`` (numbered from
+    ``first``) that fails a check, else at the entry numpy's ``exc`` names."""
+    nrows, ncols = shape
+    lines = io.StringIO(body).readlines()
+    what = "entries" if coordinate else "values"
+    where = []  # the line of each entry, counted as numpy counts rows
+    for lineno, raw in enumerate(lines, first):
+        tok = raw.split()
+        if not tok or tok[0].startswith("%"):
+            continue
+        if len(where) >= count:
+            raise ParseError(f"more than the declared {count} {what}", line=lineno)
+        if coordinate:
+            if len(tok) != 3:
+                raise ParseError("entry must be 'row col value'", line=lineno)
+            i = _int_field(tok[0], "row index", lineno)
+            j = _int_field(tok[1], "column index", lineno)
+            if not (1 <= i <= nrows and 1 <= j <= ncols):
+                raise ParseError(f"index ({i}, {j}) outside {nrows}x{ncols}", line=lineno)
+            tok = tok[2:]
+        for t in tok:
+            if len(where) >= count:
+                raise ParseError(f"more than the declared {count} {what}", line=lineno)
+            _float_field(t, lineno)
+            where.append(lineno)
+        if "_" in raw:  # int() and float() accept digit groups; numpy does not
+            raise ParseError("digit group '_' not accepted", line=lineno)
+    if len(where) != count:
+        raise ParseError(
+            f"declared {count} {what} but found {len(where)}", line=first + len(lines)
+        )
+    row = re.search(r"at row (\d+)", str(exc))  # 0-based, as numpy counts rows
+    k = int(row[1]) if row else len(where)
+    raise ParseError(str(exc), line=where[k] if k < len(where) else first)
+
+
 def read_matrix_market(path):
     """Read a real MatrixMarket file into a :class:`CsrOperator`.
 
@@ -115,112 +164,70 @@ def read_matrix_market(path):
     entries are summed.  Malformed content raises :class:`ParseError`
     carrying the 1-based line number; complex/pattern/integer fields
     raise :class:`Unsupported`.
+
+    The body is parsed by ``np.loadtxt``; when that parse, the declared
+    count or an index bound fails, a line walk names the bad line.
+    Numbers are read as Python's ``int`` and ``float`` read them, except
+    that digit groups such as ``1_0`` are an error.
     """
-    lines = _read_lines(path)
-    if not lines:
-        raise ParseError("empty file", line=1)
-    fmt, symmetry = _parse_banner(lines[0])
+    fmt, symmetry, size_tok, size_lineno, body = _read_head(path)
+    coordinate = fmt == "coordinate"
+    if len(size_tok) != (3 if coordinate else 2):
+        shape_spec = "rows cols nnz" if coordinate else "rows cols"
+        raise ParseError(f"size line must be '{shape_spec}'", line=size_lineno)
+    nrows = _int_field(size_tok[0], "row count", size_lineno)
+    ncols = _int_field(size_tok[1], "column count", size_lineno)
+    if coordinate:
+        count = _int_field(size_tok[2], "entry count", size_lineno)
+    else:  # array: dense, column-major, the lower triangle if symmetric
+        count = nrows * (nrows + 1) // 2 if symmetry == "symmetric" else nrows * ncols
+    if min(nrows, ncols, count) < 0:
+        raise ParseError("size line entries must be nonnegative", line=size_lineno)
+    if not coordinate and symmetry == "symmetric" and nrows != ncols:
+        raise ParseError("symmetric array must be square", line=size_lineno)
 
-    # skip comments / blank lines up to the size line
-    idx = 1
-    while idx < len(lines) and (
-        lines[idx].lstrip().startswith("%") or not lines[idx].strip()
-    ):
-        idx += 1
-    if idx >= len(lines):
-        raise ParseError("missing size line", line=len(lines) + 1)
-    size_tok = _tokens(lines[idx])
-    size_lineno = idx + 1
+    text = body
+    if "%" in text:  # drop comment lines; a '%' anywhere else fails the parse
+        text = "".join(x for x in io.StringIO(text) if not x.lstrip().startswith("%"))
+    if not coordinate:  # one value per line, whatever the file's layout
+        text = "\n".join(text.split())
+    dtype = [("i", "i8"), ("j", "i8"), ("v", "f8")] if coordinate else "f8"
+    e = np.empty(0, dtype)  # the entries; loadtxt warns on an empty body
+    try:
+        with warnings.catch_warnings():
+            # numpy releases that read an integer via a float ('1.5' -> 1) warn
+            warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
+            if text.strip():
+                e = np.loadtxt(io.StringIO(text), dtype=dtype, comments=None, ndmin=1)
+        if len(e) != count:
+            raise ValueError(f"{len(e)} entries")
+        if coordinate:
+            i, j = e["i"], e["j"]
+            if ((i < 1) | (i > nrows) | (j < 1) | (j > ncols)).any():
+                raise ValueError("index out of range")
+    except (ValueError, DeprecationWarning) as exc:
+        _walk(coordinate, body, size_lineno + 1, (nrows, ncols), count, exc)
 
-    if fmt == "coordinate":
-        if len(size_tok) != 3:
-            raise ParseError("size line must be 'rows cols nnz'", line=size_lineno)
-        nrows = _int_field(size_tok[0], "row count", size_lineno)
-        ncols = _int_field(size_tok[1], "column count", size_lineno)
-        nnz = _int_field(size_tok[2], "entry count", size_lineno)
-        if nrows < 0 or ncols < 0 or nnz < 0:
-            raise ParseError("size line entries must be nonnegative", line=size_lineno)
-        rows, cols, vals = [], [], []
-        seen = 0
-        for lineno in range(size_lineno + 1, len(lines) + 1):
-            raw = lines[lineno - 1]
-            if raw.lstrip().startswith("%") or not raw.strip():
-                continue
-            tok = _tokens(raw)
-            if seen >= nnz:
-                raise ParseError(
-                    f"more than the declared {nnz} entries", line=lineno
-                )
-            if len(tok) != 3:
-                raise ParseError("entry must be 'row col value'", line=lineno)
-            i = _int_field(tok[0], "row index", lineno)
-            j = _int_field(tok[1], "column index", lineno)
-            if not (1 <= i <= nrows and 1 <= j <= ncols):
-                raise ParseError(
-                    f"index ({i}, {j}) outside {nrows}x{ncols}", line=lineno
-                )
-            v = _float_field(tok[2], lineno)
-            rows.append(i - 1)
-            cols.append(j - 1)
-            vals.append(v)
-            seen += 1
-        if seen != nnz:
-            raise ParseError(
-                f"declared {nnz} entries but found {seen}", line=len(lines) + 1
+    if coordinate:
+        rows, cols, vals = i - 1, j - 1, e["v"]
+        if symmetry == "symmetric":  # mirror after the stored entries, in file order
+            off = rows != cols
+            rows, cols, vals = (
+                np.concatenate([rows, cols[off]]),
+                np.concatenate([cols, rows[off]]),
+                np.concatenate([vals, vals[off]]),
             )
-        if symmetry == "symmetric":
-            for k in range(nnz):
-                if rows[k] != cols[k]:
-                    rows.append(cols[k])
-                    cols.append(rows[k])
-                    vals.append(vals[k])
         sp = scipy.sparse.coo_matrix(
             (vals, (rows, cols)), shape=(nrows, ncols), dtype=np.float64
         ).tocsr()
-    else:  # array (dense, column-major)
-        if len(size_tok) != 2:
-            raise ParseError("size line must be 'rows cols'", line=size_lineno)
-        nrows = _int_field(size_tok[0], "row count", size_lineno)
-        ncols = _int_field(size_tok[1], "column count", size_lineno)
-        if nrows < 0 or ncols < 0:
-            raise ParseError("size line entries must be nonnegative", line=size_lineno)
-        if symmetry == "symmetric":
-            if nrows != ncols:
-                raise ParseError(
-                    "symmetric array must be square", line=size_lineno
-                )
-            expected = nrows * (nrows + 1) // 2
-        else:
-            expected = nrows * ncols
-        vals = []
-        for lineno in range(size_lineno + 1, len(lines) + 1):
-            raw = lines[lineno - 1]
-            if raw.lstrip().startswith("%") or not raw.strip():
-                continue
-            for tok in _tokens(raw):
-                if len(vals) >= expected:
-                    raise ParseError(
-                        f"more than the declared {expected} values", line=lineno
-                    )
-                vals.append(_float_field(tok, lineno))
-        if len(vals) != expected:
-            raise ParseError(
-                f"declared {expected} values but found {len(vals)}",
-                line=len(lines) + 1,
-            )
+    else:
         dense = np.zeros((nrows, ncols), dtype=np.float64)
-        k = 0
         if symmetry == "symmetric":
-            for j in range(ncols):
-                for i in range(j, nrows):
-                    dense[i, j] = vals[k]
-                    dense[j, i] = vals[k]
-                    k += 1
+            j, i = np.triu_indices(nrows)  # the lower triangle, column by column
+            dense[i, j] = e
+            dense[j, i] = e
         else:
-            for j in range(ncols):
-                for i in range(nrows):
-                    dense[i, j] = vals[k]
-                    k += 1
+            dense[:] = e.reshape(ncols, nrows).T
         sp = scipy.sparse.csr_matrix(dense)
 
     sp.sum_duplicates()

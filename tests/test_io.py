@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from gcgeig import (
     write_history,
     write_matrix_market,
 )
-from gcgeig.io import HISTORY_COLUMNS
+from gcgeig.io import GENERATOR_NAMES, HISTORY_COLUMNS
 
 
 def _dense(op):
@@ -264,6 +265,128 @@ def test_banner_is_case_insensitive(tmp_path):
         "%%matrixmarket MATRIX Coordinate Real General\n1 1 1\n1 1 7.0\n",
     )
     assert np.array_equal(_dense(read_matrix_market(path)), [[7.0]])
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "1 1 1.0abc",
+        "1 1 1.0D2",
+        "1 1 1.0 7",
+        "1 1 1.0 % note",
+        "1 1 1.0.5",
+        "1 1 1_0",  # float() reads 10.0; numpy's parser does not take digit groups
+        "1_0 1 1.0",
+    ],
+)
+def test_entries_a_lenient_reader_would_misread_are_rejected(tmp_path, entry):
+    text = f"%%MatrixMarket matrix coordinate real general\n2 2 1\n{entry}\n"
+    with pytest.raises(ParseError) as exc:
+        read_matrix_market(_write(tmp_path, text))
+    assert exc.value.line == 3
+
+
+def test_digit_group_in_an_array_value_is_rejected(tmp_path):
+    text = "%%MatrixMarket matrix array real symmetric\n2 2\n1.0\n% c\n2 1_0\n"
+    with pytest.raises(ParseError) as exc:
+        read_matrix_market(_write(tmp_path, text))
+    assert exc.value.line == 5
+
+
+def test_layout_variants_are_read(tmp_path):
+    coo = _write(
+        tmp_path,
+        "%%MatrixMarket matrix coordinate real general\r\n"
+        "% comment\r\n"
+        "2 2 4\r\n"
+        "  +1\t1\t-0.0\r\n"
+        "% between entries\r\n"
+        "\t2 2 5e0  \r\n"
+        "+2 +1 .5\r\n"
+        "1 2 0.5\r\n"
+        "\r\n   \r\n\n",
+        name="coo.mtx",
+    )
+    sp = read_matrix_market(coo).tocsr()
+    assert np.array_equal(sp.toarray(), [[0.0, 0.5], [0.5, 5.0]])
+    assert sp.nnz == 4 and np.signbit(sp.data[0])  # the stored -0.0 stays
+    # array values may sit several to a line, in any layout
+    arr = _write(
+        tmp_path,
+        "%%MatrixMarket matrix array real symmetric\n3 3\n1 2\n3\n\n 4\t5 6\n",
+        name="arr.mtx",
+    )
+    expected = [[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]]
+    assert np.array_equal(_dense(read_matrix_market(arr)), expected)
+
+
+def _assert_same_csr(got, want):
+    for field in ("indptr", "indices", "data"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+
+@pytest.mark.parametrize("kind", GENERATOR_NAMES)
+def test_generated_matrices_read_back_byte_equal(tmp_path, kind):
+    ops = [op for op in generate_builtin(kind, 60, density=0.1, seed=3) if op is not None]
+    for k, op in enumerate(ops):  # fem1d-p1 gives A and B
+        want = op.tocsr()
+        want.sort_indices()
+        path = str(tmp_path / f"{k}.mtx")
+        write_matrix_market(op, path)
+        _assert_same_csr(read_matrix_market(path).tocsr(), want)
+        # symmetric storage of the lower triangle, each entry as two halves
+        low = scipy.sparse.tril(want).tocoo()
+        body = "".join(
+            f"{i + 1} {j + 1} {v / 2:.17g}\n" * 2 for i, j, v in zip(low.row, low.col, low.data)
+        )
+        n = want.shape[0]
+        text = f"%%MatrixMarket matrix coordinate real symmetric\n{n} {n} {2 * low.nnz}\n"
+        _assert_same_csr(read_matrix_market(_write(tmp_path, text + body)).tocsr(), want)
+
+
+def test_array_symmetric_matches_a_loop_fill(tmp_path):
+    n = 7
+    vals = np.random.default_rng(5).standard_normal(n * (n + 1) // 2)
+    want = np.zeros((n, n))
+    k = 0
+    for j in range(n):  # the lower triangle, column by column
+        for i in range(j, n):
+            want[i, j] = want[j, i] = vals[k]
+            k += 1
+    text = f"%%MatrixMarket matrix array real symmetric\n{n} {n}\n"
+    text += "".join(f"{v:.17g}\n" for v in vals)
+    got = read_matrix_market(_write(tmp_path, text)).tocsr()
+    _assert_same_csr(got, scipy.sparse.csr_matrix(want))
+
+
+def test_a_parse_error_the_line_walk_cannot_place_names_numpy_row(tmp_path, monkeypatch):
+    path = _write(
+        tmp_path,
+        "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n\n2 2 2.0\n",
+    )
+
+    def reject(*args, **kwargs):
+        raise ValueError("could not convert string '2.0' to float64 at row 1, column 3.")
+
+    monkeypatch.setattr(np, "loadtxt", reject)
+    with pytest.raises(ParseError, match="at row 1") as exc:
+        read_matrix_market(path)
+    assert exc.value.line == 5
+
+
+def test_an_integer_read_via_a_float_is_rejected(tmp_path, monkeypatch):
+    # some numpy releases parse '1.5' in an integer field as 1 and only warn
+    path = _write(tmp_path, "%%MatrixMarket matrix coordinate real general\n2 2 1\n1.5 1 1.0\n")
+
+    def lenient(*args, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+        return np.array([(1, 1, 1.0)], dtype=kwargs["dtype"])
+
+    monkeypatch.setattr(np, "loadtxt", lenient)
+    with pytest.raises(ParseError, match="bad row index") as exc:
+        read_matrix_market(path)
+    assert exc.value.line == 3
 
 
 # ---------------------------------------------------------------------------

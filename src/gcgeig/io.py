@@ -44,6 +44,8 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 2
+# Largest count a size line may declare: the entries' indices are int64.
+_INDEX_MAX = np.iinfo(np.int64).max
 
 HISTORY_COLUMNS = (
     "iter",
@@ -183,8 +185,10 @@ def read_matrix_market(path):
         count = nrows * (nrows + 1) // 2 if symmetry == "symmetric" else nrows * ncols
     if min(nrows, ncols, count) < 0:
         raise ParseError("size line entries must be nonnegative", line=size_lineno)
-    if not coordinate and symmetry == "symmetric" and nrows != ncols:
-        raise ParseError("symmetric array must be square", line=size_lineno)
+    if max(nrows, ncols) > _INDEX_MAX or (coordinate and count > _INDEX_MAX):
+        raise ParseError(f"size line entries must be at most {_INDEX_MAX}", line=size_lineno)
+    if symmetry == "symmetric" and nrows != ncols:
+        raise ParseError("symmetric matrix must be square", line=size_lineno)
 
     text = body
     if "%" in text:  # drop comment lines; a '%' anywhere else fails the parse

@@ -23,27 +23,42 @@ __all__ = [
 
 _SYM_RTOL = 1e-12
 
-# CsrOperator.apply streams the matrix once per block from this width on and
-# once per column below it.  The block product pays for a C-order copy of the
-# input and a C-order result, which the narrow blocks of the inner solves do
-# not earn back.  Microseconds per apply, per-column loop / block, best of
-# 5 x 40 interleaved applies on F-order input (2-vCPU Xeon guest, scipy 1.17,
-# 1 thread); the clustered matrix has 11 entries per row, the fem one 3:
+# CsrOperator.apply streams the matrix once per block from _BLOCK_MIN_COLS
+# columns on and once per column below it; a block wider than CHUNK_COLS
+# goes through one chunk of CHUNK_COLS columns at a time.  The block product
+# pays for a C-order copy of the input and a C-order result, which the narrow
+# blocks of the inner solves do not earn back, and the chunks keep those two
+# temporaries CHUNK_COLS wide whatever the block (the solver's projection
+# chunks its blocks the same way).  Microseconds per apply, per-column loop /
+# block, best of 7 x 40 interleaved applies (x 10 at n=20000) on F-order input
+# (2-vCPU Xeon guest, scipy 1.17, 1 thread); the clustered matrix has 11
+# entries per row, the fem ones 3:
 #
 #   k                                  1       2        3        4        5
-#   clustered-random n=2000        40/41  81/130  123/142  162/159  207/177
-#   fem1d-p1 A-5B n=3000           22/22   42/69    65/89    80/84  109/109
+#   clustered-random n=2000        23/25   46/63    69/67    93/82   121/92
+#   fem1d-p1 A-5B n=3000           11/12   22/44    33/44    44/52    56/56
+#   fem1d-p1 A-5B n=20000          58/57 126/280  174/297  234/346  302/442
 #
-#   k                                  6       8       16       40       80
-#   clustered-random n=2000      231/201 316/222  658/344 1302/588 2563/1479
-#   fem1d-p1 A-5B n=3000         130/116  102/93  262/199  586/412 1464/1148
+#   k                                  6       8       16        40
+#   clustered-random n=2000      135/124 179/137  386/206  936/1115
+#   fem1d-p1 A-5B n=3000           68/71   89/88  177/148   466/336
+#   fem1d-p1 A-5B n=20000        352/506 458/662 907/2072 2480/5899
 #
-# From 5 columns on the block product wins on the denser matrix and ties or
-# wins on the sparser one.  Its times spike 2-3x in some runs (clustered
-# k=30 and 80, fem k=80) and not in others at the same width: the allocator
-# returns the two temporaries to the system and they fault in afresh.  With
-# the malloc trim and mmap thresholds raised, the spikes are gone.
+#   k                                 80         128
+#   clustered-random n=2000    2000/1046   3121/1701
+#   fem1d-p1 A-5B n=3000         947/967   1672/1947
+#   fem1d-p1 A-5B n=20000     5615/14409  8711/25664
+#
+# From 5 columns on the block product wins on the denser matrix and ties on
+# the sparser one at n=3000.  At n=20000 on the sparser one it loses from 2
+# columns on, by up to 3x: the two transposing copies into fresh temporaries
+# cost more than the single pass saves, and chunking does not change that.
+# Single cells move by up to 2x between runs (clustered k=40 read 588 us in
+# an earlier run): the allocator returns the temporaries to the system and
+# they fault in afresh.  With the malloc trim and mmap thresholds raised,
+# the spikes are gone.
 _BLOCK_MIN_COLS = 5
+CHUNK_COLS = 64
 
 
 class LinearOperator:
@@ -128,14 +143,17 @@ class CsrOperator(LinearOperator):
 
     def apply(self, x, out=None):
         out = self._out(x, out)
-        if x.shape[1] >= _BLOCK_MIN_COLS:
-            # one pass over the matrix for all columns (scipy's csr_matvecs
-            # wants C-order input); each row sums its terms in the same
-            # order as the per-column product, so the result is identical
-            out[...] = self._sp @ np.ascontiguousarray(x)
-        else:
-            for j in range(x.shape[1]):
+        k = x.shape[1]
+        if k < _BLOCK_MIN_COLS:
+            for j in range(k):
                 out[:, j] = self._sp @ x[:, j]
+            return out
+        # one pass over the matrix per chunk of columns (scipy's csr_matvecs
+        # wants C-order input); each row sums its terms in the same order as
+        # the per-column product, so the result is identical
+        for start in range(0, k, CHUNK_COLS):
+            cols = slice(start, min(start + CHUNK_COLS, k))
+            out[:, cols] = self._sp @ np.ascontiguousarray(x[:, cols])
         return out
 
     def diagonal(self):

@@ -44,6 +44,15 @@ def test_missing_matrix_file_exits_1(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_non_square_symmetric_file_exits_1(tmp_path, capsys):
+    """A symmetric coordinate file whose mirrored entry falls outside the
+    declared shape is a parse error at the size line, not a traceback."""
+    path = tmp_path / "a.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real symmetric\n2 3 1\n1 3 1.0\n")
+    assert run_cli(["--matrix-a", str(path)]) == EXIT_ERROR
+    assert "error: line 2:" in capsys.readouterr().err
+
+
 def test_unknown_builtin_exits_1(capsys):
     assert run_cli(["--builtin", "bogus"]) == EXIT_ERROR
     assert "unknown generator" in capsys.readouterr().err

@@ -239,6 +239,36 @@ def test_parse_errors_carry_line_numbers(tmp_path, text, line):
 
 
 @pytest.mark.parametrize(
+    "size",
+    [
+        "99999999999999999999 99999999999999999999 1",
+        "2 2 99999999999999999999",
+        "99999999999999999999 2 1",
+    ],
+)
+def test_counts_beyond_int64_are_a_size_line_error(tmp_path, size):
+    """A declared count no int64 index can reach is rejected at the size
+    line, not by an OverflowError from the sparse constructor."""
+    text = f"%%MatrixMarket matrix coordinate real general\n{size}\n1 1 1.0\n"
+    with pytest.raises(ParseError) as exc:
+        read_matrix_market(_write(tmp_path, text))
+    assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("fmt,body", [("coordinate", "2 3 1\n1 3 1.0\n"), ("array", "2 3\n")])
+def test_symmetric_storage_must_be_square(tmp_path, fmt, body):
+    """Symmetric storage of a non-square matrix is an error at the size
+    line, in either format, even where every stored entry fits its mirror."""
+    text = f"%%MatrixMarket matrix {fmt} real symmetric\n{body}"
+    with pytest.raises(ParseError, match="must be square") as exc:
+        read_matrix_market(_write(tmp_path, text))
+    assert exc.value.line == 2
+    fits = "%%MatrixMarket matrix coordinate real symmetric\n3 2 1\n1 1 1.0\n"
+    with pytest.raises(ParseError, match="must be square"):
+        read_matrix_market(_write(tmp_path, fits, "fits.mtx"))
+
+
+@pytest.mark.parametrize(
     "banner",
     [
         "%%MatrixMarket matrix coordinate complex general",

@@ -23,42 +23,38 @@ __all__ = [
 
 _SYM_RTOL = 1e-12
 
-# CsrOperator.apply streams the matrix once per block from _BLOCK_MIN_COLS
-# columns on and once per column below it; a block wider than CHUNK_COLS
-# goes through one chunk of CHUNK_COLS columns at a time.  The block product
-# pays for a C-order copy of the input and a C-order result, which the narrow
-# blocks of the inner solves do not earn back, and the chunks keep those two
-# temporaries CHUNK_COLS wide whatever the block (the solver's projection
-# chunks its blocks the same way).  Microseconds per apply, per-column loop /
-# block, best of 7 x 40 interleaved applies (x 10 at n=20000) on F-order input
-# (2-vCPU Xeon guest, scipy 1.17, 1 thread); the clustered matrix has 11
-# entries per row, the fem ones 3:
+# CsrOperator.apply streams the matrix once per block from this width on and
+# once per column below it.  The block product pays for a C-order copy of the
+# input and a C-order result, which the narrow blocks of the inner solves do
+# not earn back.  Microseconds per apply, per-column loop / block, best of
+# 7 x 40 interleaved applies (x 10 at n=20000) on F-order input, the last of
+# three runs (2-vCPU Xeon guest, scipy 1.17, 1 thread); the clustered matrix
+# has 11 entries per row, the fem ones 3:
 #
 #   k                                  1       2        3        4        5
-#   clustered-random n=2000        23/25   46/63    69/67    93/82   121/92
-#   fem1d-p1 A-5B n=3000           11/12   22/44    33/44    44/52    56/56
-#   fem1d-p1 A-5B n=20000          58/57 126/280  174/297  234/346  302/442
+#   clustered-random n=2000        26/26   50/72    77/75   105/90  130/105
+#   fem1d-p1 A-5B n=3000           19/20   40/74    54/75    72/62    98/98
+#   fem1d-p1 A-5B n=20000          54/54 113/263  172/299  236/360  299/434
 #
-#   k                                  6       8       16        40
-#   clustered-random n=2000      135/124 179/137  386/206  936/1115
-#   fem1d-p1 A-5B n=3000           68/71   89/88  177/148   466/336
-#   fem1d-p1 A-5B n=20000        352/506 458/662 907/2072 2480/5899
+#   k                                  6       8       16         40
+#   clustered-random n=2000      166/143 217/158  419/235  1502/1701
+#   fem1d-p1 A-5B n=3000         118/105 153/122  319/232    806/498
+#   fem1d-p1 A-5B n=20000        371/524 514/692 1464/2710 3637/7609
 #
 #   k                                 80         128
-#   clustered-random n=2000    2000/1046   3121/1701
-#   fem1d-p1 A-5B n=3000         947/967   1672/1947
-#   fem1d-p1 A-5B n=20000     5615/14409  8711/25664
+#   clustered-random n=2000    2943/3765   3538/2233
+#   fem1d-p1 A-5B n=3000        1126/981   1613/6182
+#   fem1d-p1 A-5B n=20000     5975/19869  9630/28296
 #
-# From 5 columns on the block product wins on the denser matrix and ties on
-# the sparser one at n=3000.  At n=20000 on the sparser one it loses from 2
-# columns on, by up to 3x: the two transposing copies into fresh temporaries
-# cost more than the single pass saves, and chunking does not change that.
-# Single cells move by up to 2x between runs (clustered k=40 read 588 us in
-# an earlier run): the allocator returns the temporaries to the system and
-# they fault in afresh.  With the malloc trim and mmap thresholds raised,
-# the spikes are gone.
+# From 5 to 16 columns the block product ties or wins at n <= 3000.  Wider,
+# it loses in places: on the clustered matrix at 40 and 80 columns (three
+# runs read 1502/1701, 1893/2260 and 1621/1698 at 40), on the fem one at
+# n=3000 at 128 columns, and on the fem one at n=20000 from 2 columns on, by
+# up to 3.3x.  The two transposing copies go into fresh temporaries, which the
+# allocator maps afresh above its mmap threshold and which fault in page by
+# page on every call.  With the malloc trim and mmap thresholds raised,
+# clustered k=40 reads 1099/481 and fem n=20000 k=40 2475/3508.
 _BLOCK_MIN_COLS = 5
-CHUNK_COLS = 64
 
 
 class LinearOperator:
@@ -143,17 +139,14 @@ class CsrOperator(LinearOperator):
 
     def apply(self, x, out=None):
         out = self._out(x, out)
-        k = x.shape[1]
-        if k < _BLOCK_MIN_COLS:
-            for j in range(k):
+        if x.shape[1] >= _BLOCK_MIN_COLS:
+            # one pass over the matrix for all columns (scipy's csr_matvecs
+            # wants C-order input); each row sums its terms in the same
+            # order as the per-column product, so the result is identical
+            out[...] = self._sp @ np.ascontiguousarray(x)
+        else:
+            for j in range(x.shape[1]):
                 out[:, j] = self._sp @ x[:, j]
-            return out
-        # one pass over the matrix per chunk of columns (scipy's csr_matvecs
-        # wants C-order input); each row sums its terms in the same order as
-        # the per-column product, so the result is identical
-        for start in range(0, k, CHUNK_COLS):
-            cols = slice(start, min(start + CHUNK_COLS, k))
-            out[:, cols] = self._sp @ np.ascontiguousarray(x[:, cols])
         return out
 
     def diagonal(self):

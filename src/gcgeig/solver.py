@@ -33,8 +33,8 @@ afresh.
 The basis array ``v`` is the one n-row array a solve keeps.  The new X and
 P are written into it in place, ``_ROW_BLOCK`` rows at a time; the
 convergence check forms the Ritz vectors ``block_size`` columns at a time
-as it goes, and the projection applies A to at most ``CHUNK_COLS`` columns
-at a time.  The other n-row arrays are the inner CG's and W's
+as it goes, and the projection applies A to at most ``_CHUNK_COLS``
+columns at a time.  The other n-row arrays are the inner CG's and W's
 orthogonalization work arrays, ``block_size`` wide, and, once per solve,
 the deflation temporaries of the starting block, half of X wide.  A wide
 solve of clustered-random n=2000 with 200 pairs peaks at 1.8 times ``v``.
@@ -54,7 +54,7 @@ from .dense import SpectralDecomposition, gram_svd, sym_eig_full
 from .dense import sym_eig_range  # noqa: F401
 from .errors import AllDependent, InvalidMatrix, InvalidShape
 from .multivec import mv_inner_prod, mv_new, mv_set_random
-from .operators import CHUNK_COLS, ShiftedOperator, as_operator
+from .operators import ShiftedOperator, as_operator
 from .orth import DEPENDENCE_TOL, orth_against, recursive_orth_svd
 
 __all__ = [
@@ -74,6 +74,9 @@ _STALL_WINDOW = 50   # iterations without progress that flag a stagnated run
 # into a fresh array, 512 rows about 3%, and its buffer is a quarter of the
 # fresh array.
 _ROW_BLOCK = 512
+# The unstructured projection applies A to this many columns at a time
+# (``_project``), so its operands and product stay this wide.
+_CHUNK_COLS = 64
 
 
 @dataclass
@@ -169,33 +172,34 @@ def _rel_residual(ax_j, x_j, bx_j, lam_j, generalized):
     return math.sqrt(float(r @ r)) / denom
 
 
-def _residuals(a, b_op, x, lam, chunk, coeffs=None):
-    """Relative residual of each column of ``x``, or of ``x @ coeffs`` when
-    coefficients are given, in order.  The columns are formed and A and B
-    applied ``chunk`` columns at a time, so a caller that stops early stops
-    the operator applications too, and no temporary is wider than ``chunk``
-    columns."""
-    width = x.shape[1] if coeffs is None else coeffs.shape[1]
-    for start in range(0, width, chunk):
-        stop = min(start + chunk, width)
-        if coeffs is None:
-            xc = np.asfortranarray(x[:, start:stop])
-        else:
-            xc = np.matmul(x, coeffs[:, start:stop], out=mv_new(x.shape[0], stop - start))
+def _residuals(a, b_op, blocks, lam):
+    """Relative residual of each column of the column blocks ``blocks``,
+    taken in order, against the values ``lam``.  A and B are applied one
+    block at a time as the blocks are drawn, so a caller that stops early
+    stops the operator applications too."""
+    done = 0
+    for xc in blocks:
         axc = a.apply(xc)
         bxc = b_op.apply(xc) if b_op is not None else xc
-        for j in range(stop - start):
+        for j in range(xc.shape[1]):
             yield _rel_residual(
-                axc[:, j], xc[:, j], bxc[:, j], float(lam[start + j]), b_op is not None
+                axc[:, j], xc[:, j], bxc[:, j], float(lam[done + j]), b_op is not None
             )
+        done += xc.shape[1]
 
 
 def _count_converged(a, b_op, basis, dec, limit, chunk, tol):
     """Length of the converged prefix of the new Ritz block ``basis @
     dec.vectors``, and the residual of the first column that failed (0.0
-    if none did)."""
+    if none did).  The Ritz vectors are formed ``chunk`` columns at a time,
+    as the check reaches them."""
+    def ritz_blocks():
+        for start in range(0, limit, chunk):
+            coeffs = dec.vectors[:, start : min(start + chunk, limit)]
+            yield np.matmul(basis, coeffs, out=mv_new(basis.shape[0], coeffs.shape[1]))
+
     count = 0
-    for rel in _residuals(a, b_op, basis, dec.values, chunk, dec.vectors[:, :limit]):
+    for rel in _residuals(a, b_op, ritz_blocks(), dec.values):
         if not rel < tol:
             return count, rel
         count += 1
@@ -351,7 +355,7 @@ def _project(win, a, basis):
     """The projected matrix ``basis' A basis``.  Once X holds Ritz vectors
     its block is diag(lam), the X-P block vanishes and the P block is the
     carried coupling, so A is applied to W only.  A is applied to at most
-    CHUNK_COLS columns at a time, so no n-row temporary is wider."""
+    _CHUNK_COLS columns at a time, so no n-row temporary is wider."""
     m = basis.shape[1]
     abar = np.zeros((m, m), order="F")
     lo = 0
@@ -360,8 +364,8 @@ def _project(win, a, basis):
         abar[:d, :d] = np.diag(win.lam[win.locked : win.sx])
         if win.np_:
             abar[d:lo, d:lo] = win.p_coupling
-    for start in range(lo, m, CHUNK_COLS):
-        cols = slice(start, min(start + CHUNK_COLS, m))
+    for start in range(lo, m, _CHUNK_COLS):
+        cols = slice(start, min(start + _CHUNK_COLS, m))
         abar[:, cols] = mv_inner_prod(basis, a.apply(basis[:, cols]))
     abar[lo:, :lo] = abar[:lo, lo:].T
     return (abar + abar.T) / 2.0
@@ -556,7 +560,8 @@ def gcg_solve(a, b=None, config=None):
     # its locked prefix with unconverged Ritz pairs up to num_eigen; the
     # copies keep a report from pinning the whole basis
     k = min(ne, win.sx)
-    residuals = np.fromiter(_residuals(a, b_op, win.v[:, :k], win.lam, bs), float, k)
+    blocks = (win.v[:, start : min(start + bs, k)] for start in range(0, k, bs))
+    residuals = np.fromiter(_residuals(a, b_op, blocks, win.lam), float, k)
 
     return SolverReport(
         status=status,

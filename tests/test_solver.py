@@ -368,11 +368,27 @@ def test_block_sizes_resolve_at_the_edges(monkeypatch, capsys, case, expect):
     assert (record["config"]["block_size"], record["config"]["size_x"]) == expect
 
 
+@pytest.mark.parametrize("extra", [0, 1, gcgeig.solver._CHUNK_COLS + 1])
+def test_unstructured_projection_across_chunk_boundaries(monkeypatch, extra):
+    """The projection of a basis that does not hold Ritz vectors applies A a
+    chunk of columns at a time; across the chunk boundaries it matches the
+    projection that applies A to the whole basis at once."""
+    m = gcgeig.solver._CHUNK_COLS + extra
+    a, _ = generate_builtin("clustered-random", 300, seed=3)
+    basis = np.asfortranarray(np.random.default_rng(5).standard_normal((300, m)))
+    win = gcgeig.solver._Window(basis, np.zeros(m), m)
+    chunked = gcgeig.solver._project(win, a, basis)
+    monkeypatch.setattr(gcgeig.solver, "_CHUNK_COLS", m)
+    whole = gcgeig.solver._project(win, a, basis)
+    np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-13 * np.abs(whole).max())
+    assert np.array_equal(chunked, chunked.T)
+
+
 def test_wide_solve_peaks_below_twice_its_basis_array():
     """A wide solve's traced peak stays below twice the basis array ``v``
     (n x (sx + 2*bs) doubles): X and P are rotated into ``v`` in place, and
-    the projection, the CSR products and the convergence check hold at most
-    one chunk of columns at a time.  This solve measures 1.83 times ``v``;
+    the projection and the convergence check hold at most one chunk of
+    columns at a time.  This solve measures 1.83 times ``v``;
     with the first projection's three n-by-sx temporaries it was 3.4."""
     n, ne = 1500, 150
     a, _ = generate_builtin("clustered-random", n, seed=1)

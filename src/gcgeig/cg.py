@@ -39,7 +39,12 @@ def block_cg(op, rhs, x0=None, max_iters=30, rel_tol=0.01, precond=None):
 
     Each column stops once its residual drops below ``rel_tol`` times its
     starting residual, or after ``max_iters`` sweeps.  ``precond``, when
-    given, maps a residual block to a preconditioned block.
+    given, maps a residual block to a new, preconditioned block and leaves
+    its argument alone.  The solver passes a solve with A followed by a
+    projection that removes the locked eigenvectors in the B inner product:
+    ``A - theta*B`` is not positive definite on their span, and the
+    projected directions stay out of it.  Without ``precond`` the sweeps
+    are plain CG.
     """
     rhs = np.asfortranarray(rhs, dtype=np.float64)
     if rhs.ndim != 2:

@@ -212,27 +212,33 @@ def read_matrix_market(path):
     except (ValueError, DeprecationWarning) as exc:
         _walk(coordinate, body, size_lineno + 1, (nrows, ncols), count, exc)
 
-    if coordinate:
-        rows, cols, vals = i - 1, j - 1, e["v"]
-        if symmetry == "symmetric":  # mirror after the stored entries, in file order
-            off = rows != cols
-            rows, cols, vals = (
-                np.concatenate([rows, cols[off]]),
-                np.concatenate([cols, rows[off]]),
-                np.concatenate([vals, vals[off]]),
-            )
-        sp = scipy.sparse.coo_matrix(
-            (vals, (rows, cols)), shape=(nrows, ncols), dtype=np.float64
-        ).tocsr()
-    else:
-        dense = np.zeros((nrows, ncols), dtype=np.float64)
-        if symmetry == "symmetric":
-            j, i = np.triu_indices(nrows)  # the lower triangle, column by column
-            dense[i, j] = e
-            dense[j, i] = e
+    try:
+        if coordinate:
+            rows, cols, vals = i - 1, j - 1, e["v"]
+            if symmetry == "symmetric":  # mirror after the stored entries, in file order
+                off = rows != cols
+                rows, cols, vals = (
+                    np.concatenate([rows, cols[off]]),
+                    np.concatenate([cols, rows[off]]),
+                    np.concatenate([vals, vals[off]]),
+                )
+            sp = scipy.sparse.coo_matrix(
+                (vals, (rows, cols)), shape=(nrows, ncols), dtype=np.float64
+            ).tocsr()
         else:
-            dense[:] = e.reshape(ncols, nrows).T
-        sp = scipy.sparse.csr_matrix(dense)
+            dense = np.zeros((nrows, ncols), dtype=np.float64)
+            if symmetry == "symmetric":
+                j, i = np.triu_indices(nrows)  # the lower triangle, column by column
+                dense[i, j] = e
+                dense[j, i] = e
+            else:
+                dense[:] = e.reshape(ncols, nrows).T
+            sp = scipy.sparse.csr_matrix(dense)
+    except (ValueError, MemoryError) as exc:
+        # counts within int64 whose index arrays still cannot be allocated
+        raise ParseError(
+            f"cannot allocate a {nrows}x{ncols} matrix: {exc}", line=size_lineno
+        ) from None
 
     sp.sum_duplicates()
     sp.sort_indices()

@@ -8,6 +8,7 @@ combination A - theta*B used by the inner solves.
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 
 from .errors import InvalidMatrix, InvalidShape, Unsupported
@@ -151,6 +152,39 @@ class CsrOperator(LinearOperator):
 
     def diagonal(self):
         return np.asarray(self._sp.diagonal(), dtype=np.float64)
+
+    def band_solver(self):
+        """A function that maps a block ``r`` to ``A^-1 r`` by the LAPACK band
+        Cholesky factor of this matrix, or None.  The factor is built only
+        when its band, ``bw + 1`` rows of ``n`` with ``bw`` the largest
+        ``|i - j|`` over the stored entries, holds no more values than the
+        matrix stores, and only when the matrix is positive definite."""
+        sp, n = self._sp, self.dim
+        bw = _half_bandwidth(sp)
+        if (bw + 1) * n > sp.nnz:
+            return None
+        band = np.zeros((bw + 1, n))      # lower form: band[i - j, j] = A[i, j]
+        for k in range(bw + 1):
+            band[k, : n - k] = sp.diagonal(-k)
+        try:
+            factor = scipy.linalg.cholesky_banded(
+                band, overwrite_ab=True, lower=True, check_finite=False
+            )
+        except np.linalg.LinAlgError:
+            return None
+        return lambda r: scipy.linalg.cho_solve_banded((factor, True), r, check_finite=False)
+
+
+def _half_bandwidth(sp):
+    """The largest ``|i - j|`` over the stored entries of a CSR matrix with
+    sorted indices, read from the first and last entry of each row."""
+    ptr = sp.indptr
+    rows = np.flatnonzero(ptr[1:] > ptr[:-1])
+    if rows.size == 0:
+        return 0
+    below = rows - sp.indices[ptr[rows]]
+    above = sp.indices[ptr[rows + 1] - 1] - rows
+    return int(max(below.max(), above.max()))
 
 
 class DiagonalOperator(LinearOperator):

@@ -1,9 +1,9 @@
 """Block damping inverse power iteration for symmetric eigenproblems.
 
 Finds the ``num_eigen`` smallest eigenpairs of ``A x = lambda x`` or
-``A x = lambda B x`` (A symmetric, B symmetric positive definite) without
-factorizing anything.  Each iteration works in the subspace spanned by
-``[X, P, W]``:
+``A x = lambda B x`` (A symmetric, B symmetric positive definite) from
+products with blocks of vectors.  Each iteration works in the subspace
+spanned by ``[X, P, W]``:
 
 * X holds the current Ritz vectors; converged leading columns are locked
   and leave the projected problem.
@@ -15,6 +15,9 @@ factorizing anything.  Each iteration works in the subspace spanned by
   converges it is 0, or 10% below the lowest Ritz value when that is
   negative, so an indefinite A still draws the step to the bottom of its
   spectrum and not to the eigenvalues nearest 0.  Shift "none" keeps 0.
+  The one factorization: when A is a CSR matrix whose band Cholesky factor
+  takes no more room than A and exists, CG is preconditioned by it, with
+  the locked pairs projected out (``_precond``); otherwise CG is plain.
 
 The projected matrix is assembled structurally - the X block is the
 diagonal of Ritz values, the X-P block vanishes by construction, the P
@@ -54,7 +57,7 @@ from .dense import SpectralDecomposition, gram_svd, sym_eig_full
 from .dense import sym_eig_range  # noqa: F401
 from .errors import AllDependent, InvalidMatrix, InvalidShape
 from .multivec import mv_inner_prod, mv_new, mv_set_random
-from .operators import ShiftedOperator, as_operator
+from .operators import CsrOperator, ShiftedOperator, as_operator
 from .orth import DEPENDENCE_TOL, orth_against, recursive_orth_svd
 
 __all__ = [
@@ -312,6 +315,8 @@ class _Window:
     p_coupling: np.ndarray | None = None    # phat' Abar phat, the next P block
     shift_op: object = None             # inner-solve operator, rebuilt per theta
     shift_theta: float | None = None
+    a_solve: object = None              # A's band Cholesky solve, or None
+    a_solve_tried: bool = False         # a_solve is built at the first damped step
 
     def deflation(self):
         """What W is kept B-orthogonal to: the stored pairs, X and P."""
@@ -414,10 +419,36 @@ def _lock_and_momentum(win, basis, abar, dec, c, group):
     win.lock(basis, dec.values, c, *blocks)
 
 
+def _precond(win, a, b_op):
+    """The inner CG's preconditioner, or None for plain CG: A's band
+    Cholesky solve, when ``CsrOperator.band_solver`` builds one, followed by
+    a B-orthogonal projection against the locked pairs, on whose span
+    ``A - theta*B`` is not positive definite."""
+    if not win.a_solve_tried:
+        win.a_solve_tried = True
+        if isinstance(a, CsrOperator):
+            win.a_solve = a.band_solver()
+    solve = win.a_solve
+    if solve is None:
+        return None
+    q = win.v[:, : win.locked]
+    if not q.shape[1]:
+        return solve
+
+    def apply(r):
+        z = solve(r)
+        bz = b_op.apply(z) if b_op is not None else z
+        z -= q @ (q.T @ bz)
+        return z
+
+    return apply
+
+
 def _damp(win, a, b_op, width, theta, cfg):
     """The damped inverse power block: a few CG sweeps on
     ``(A - theta*B) W = B X (Lambda - theta)`` started from the active X,
-    written into the W slot.  Returns the CG report."""
+    preconditioned by ``_precond``, written into the W slot.  Returns the CG
+    report."""
     lo = win.locked
     x_act = np.asfortranarray(win.v[:, lo : lo + width])
     bx_act = b_op.apply(x_act) if b_op is not None else x_act
@@ -427,7 +458,8 @@ def _damp(win, a, b_op, width, theta, cfg):
         win.shift_op = a if theta == 0.0 else ShiftedOperator(a, b_op, theta)
         win.shift_theta = theta
     w, rep = block_cg(
-        win.shift_op, rhs, x0=x_act, max_iters=cfg.cg_max_iters, rel_tol=cfg.cg_rel_tol
+        win.shift_op, rhs, x0=x_act, max_iters=cfg.cg_max_iters, rel_tol=cfg.cg_rel_tol,
+        precond=_precond(win, a, b_op),
     )
     start = win.sx + win.np_
     win.v[:, start : start + width] = w

@@ -284,12 +284,13 @@ def test_acceptance_10_linear_scaling(capsys):
     nes = [10, 20, 40, 80]
     times = []
     for ne in nes:
-        # the fastest of three solves, so a stall of the host does not count
+        # the fastest of three solves in this process's CPU time, so neither
+        # a stall of the host nor other processes' load bends the fit
         best = math.inf
         for _ in range(3):
-            t0 = time.perf_counter()
+            t0 = time.process_time()
             rep = gcg_solve(a, config=SolverConfig(num_eigen=ne, tol=1e-8, seed=1))
-            best = min(best, time.perf_counter() - t0)
+            best = min(best, time.process_time() - t0)
             assert rep.status == "converged", f"ne={ne} did not converge"
         times.append(best)
     x = np.array(nes, dtype=float)

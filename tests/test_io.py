@@ -24,6 +24,7 @@ from gcgeig import (
     write_history,
     write_matrix_market,
 )
+from gcgeig.cli import run_cli
 from gcgeig.io import GENERATOR_NAMES, HISTORY_COLUMNS
 
 
@@ -253,6 +254,26 @@ def test_counts_beyond_int64_are_a_size_line_error(tmp_path, size):
     with pytest.raises(ParseError) as exc:
         read_matrix_market(_write(tmp_path, text))
     assert exc.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "size,why",
+    [
+        ("4611686018427387904 4611686018427387904 1", "array is too big"),
+        ("9223372036854775807 9223372036854775807 1", "Maximum allowed dimension"),
+    ],
+)
+def test_counts_too_large_to_allocate_are_a_size_line_error(tmp_path, capsys, size, why):
+    """Counts within int64 whose index arrays cannot be allocated end in a
+    ParseError at the size line, and the CLI says so and exits 1, instead
+    of a traceback from numpy or scipy."""
+    text = f"%%MatrixMarket matrix coordinate real symmetric\n{size}\n1 1 1.0\n"
+    path = _write(tmp_path, text)
+    with pytest.raises(ParseError, match=why) as exc:
+        read_matrix_market(path)
+    assert exc.value.line == 2
+    assert run_cli(["--matrix-a", str(path)]) == 1
+    assert "error: line 2:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fmt,body", [("coordinate", "2 3 1\n1 3 1.0\n"), ("array", "2 3\n")])

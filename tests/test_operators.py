@@ -9,6 +9,7 @@ from gcgeig.operators import (
     DiagonalOperator,
     ShiftedOperator,
     _BLOCK_MIN_COLS,
+    _half_bandwidth,
     as_operator,
 )
 
@@ -222,3 +223,62 @@ def test_solver_builds_one_shifted_operator_per_theta(monkeypatch):
     thetas = [h.theta for h in rep.history if h.cg_iterations > 0 and h.theta != 0.0]
     assert len(set(thetas)) >= 2
     assert built == sorted(set(thetas))
+
+
+def _tridiag(n, lo, mid, hi):
+    return scipy.sparse.diags([lo, mid, hi], [-1, 0, 1], shape=(n, n), format="lil")
+
+
+def _laplacian3d(m):
+    """The 7-point Laplacian on an m x m x m grid: half-bandwidth m*m."""
+    t, i = _tridiag(m, -1.0, 2.0, -1.0).tocsr(), scipy.sparse.identity(m, format="csr")
+    return (
+        scipy.sparse.kron(scipy.sparse.kron(t, i), i)
+        + scipy.sparse.kron(scipy.sparse.kron(i, t), i)
+        + scipy.sparse.kron(scipy.sparse.kron(i, i), t)
+    ).tocsr()
+
+
+def _neumann(n):
+    """tridiag(-1, 2, -1) with 1 in both corners: singular, constant kernel."""
+    m = _tridiag(n, -1.0, 2.0, -1.0)
+    m[0, 0] = m[n - 1, n - 1] = 1.0
+    return m.tocsr()
+
+
+class TestBandSolver:
+    """The band Cholesky solve is built when the band (bw + 1 rows of n) holds
+    no more values than A stores and A is positive definite."""
+
+    @pytest.mark.parametrize("kind,bw", [("laplacian1d", 1), ("fem1d-p1", 1), ("diag-range", 0)])
+    def test_built_for_narrow_bands(self, rng, kind, bw):
+        from gcgeig import generate_builtin
+
+        a, _ = generate_builtin(kind, 300, seed=1)
+        assert _half_bandwidth(a._sp) == bw
+        solve = a.band_solver()
+        assert solve is not None
+        r = np.asfortranarray(rng.standard_normal((a.dim, 4)))
+        z = solve(r)
+        assert z.shape == r.shape
+        assert np.linalg.norm(a.apply(z) - r) <= 1e-12 * np.linalg.norm(r)
+
+    def test_not_built_for_wide_bands(self):
+        from gcgeig import generate_builtin
+
+        a, _ = generate_builtin("clustered-random", 300, seed=1)
+        assert _half_bandwidth(a._sp) > 250
+        assert a.band_solver() is None
+        lap = CsrOperator(_laplacian3d(10))   # about 6.4 entries per row
+        assert _half_bandwidth(lap._sp) == 100
+        assert lap.band_solver() is None
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [_tridiag(50, -1.0, 1.5, -1.0).tocsr(), _neumann(50)],
+        ids=["indefinite", "singular-neumann"],
+    )
+    def test_not_built_unless_positive_definite(self, matrix):
+        a = CsrOperator(matrix)
+        assert _half_bandwidth(a._sp) == 1
+        assert a.band_solver() is None

@@ -9,10 +9,23 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
+import scipy.sparse  # noqa: E402
 
 import gcgeig.solver  # noqa: E402
 from gcgeig.multivec import mv_inner_prod  # noqa: E402
 from gcgeig.operators import as_operator  # noqa: E402
+
+
+def tridiag(n, lo, mid, hi):
+    """The CSR matrix tridiag(lo, mid, hi) of size n."""
+    return scipy.sparse.diags([lo, mid, hi], [-1, 0, 1], shape=(n, n), format="csr")
+
+
+def neumann_tridiag(n):
+    """tridiag(-1, 2, -1) with 1 in both corners: singular, constant kernel."""
+    m = tridiag(n, -1.0, 2.0, -1.0).tolil()
+    m[0, 0] = m[n - 1, n - 1] = 1.0
+    return m.tocsr()
 
 
 @pytest.fixture

@@ -13,6 +13,8 @@ from gcgeig.operators import (
     as_operator,
 )
 
+from conftest import neumann_tridiag, tridiag
+
 
 def spd_dense(rng, n):
     raw = rng.standard_normal((n, n))
@@ -225,25 +227,14 @@ def test_solver_builds_one_shifted_operator_per_theta(monkeypatch):
     assert built == sorted(set(thetas))
 
 
-def _tridiag(n, lo, mid, hi):
-    return scipy.sparse.diags([lo, mid, hi], [-1, 0, 1], shape=(n, n), format="lil")
-
-
 def _laplacian3d(m):
     """The 7-point Laplacian on an m x m x m grid: half-bandwidth m*m."""
-    t, i = _tridiag(m, -1.0, 2.0, -1.0).tocsr(), scipy.sparse.identity(m, format="csr")
+    t, i = tridiag(m, -1.0, 2.0, -1.0), scipy.sparse.identity(m, format="csr")
     return (
         scipy.sparse.kron(scipy.sparse.kron(t, i), i)
         + scipy.sparse.kron(scipy.sparse.kron(i, t), i)
         + scipy.sparse.kron(scipy.sparse.kron(i, i), t)
     ).tocsr()
-
-
-def _neumann(n):
-    """tridiag(-1, 2, -1) with 1 in both corners: singular, constant kernel."""
-    m = _tridiag(n, -1.0, 2.0, -1.0)
-    m[0, 0] = m[n - 1, n - 1] = 1.0
-    return m.tocsr()
 
 
 class TestBandSolver:
@@ -275,7 +266,7 @@ class TestBandSolver:
 
     @pytest.mark.parametrize(
         "matrix",
-        [_tridiag(50, -1.0, 1.5, -1.0).tocsr(), _neumann(50)],
+        [tridiag(50, -1.0, 1.5, -1.0), neumann_tridiag(50)],
         ids=["indefinite", "singular-neumann"],
     )
     def test_not_built_unless_positive_definite(self, matrix):

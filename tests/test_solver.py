@@ -15,7 +15,7 @@ from gcgeig.cli import run_cli
 from gcgeig.errors import InvalidMatrix, InvalidShape
 from gcgeig.solver import _build_p, moving_memory_budget, resolve_block_sizes, select_shift
 
-from conftest import measure_projections
+from conftest import measure_projections, neumann_tridiag, tridiag
 
 TRIDIAG = lambda n: scipy.sparse.diags(
     [-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1], format="csr"
@@ -485,19 +485,10 @@ def test_band_factor_projects_out_the_locked_pairs(moving):
     np.testing.assert_allclose(rep.eigenvalues, ref, rtol=0, atol=1e-10)
 
 
-def _indefinite(n):
-    return scipy.sparse.diags([-1.0, 1.5, -1.0], [-1, 0, 1], shape=(n, n), format="csr")
-
-
-def _neumann(n):
-    m = TRIDIAG(n).tolil()
-    m[0, 0] = m[n - 1, n - 1] = 1.0
-    return m.tocsr()
-
-
 @pytest.mark.parametrize("moving", [False, True])
 @pytest.mark.parametrize(
-    "make", [_indefinite, _neumann, lambda n: TRIDIAG(n).toarray()],
+    "make",
+    [lambda n: tridiag(n, -1.0, 1.5, -1.0), neumann_tridiag, lambda n: TRIDIAG(n).toarray()],
     ids=["indefinite", "singular-neumann", "dense"],
 )
 def test_plain_cg_where_no_band_factor_exists(monkeypatch, make, moving):

@@ -473,10 +473,10 @@ def test_banded_fem_converges_with_the_band_factor(monkeypatch):
 
 @pytest.mark.parametrize("moving", [False, True])
 def test_band_factor_projects_out_the_locked_pairs(moving):
-    """laplacian1d n=3000, ne=20: the parent's plain CG takes 81 iterations
-    wide.  The shifted operator amplifies the locked pairs, so without the
-    projection in the preconditioner the solve stalled at 1000 iterations
-    with 8 of 20 pairs."""
+    """laplacian1d n=3000, ne=20: plain CG takes 81 iterations wide.  The
+    shifted operator amplifies the locked pairs, so without the projection
+    in the preconditioner the solve stalled at 1000 iterations with 8 of 20
+    pairs."""
     n, ne = 3000, 20
     a, _ = generate_builtin("laplacian1d", n, seed=0)
     rep = gcg_solve(a, config=SolverConfig(num_eigen=ne, seed=1, moving=moving))

@@ -39,11 +39,13 @@ def block_cg(op, rhs, x0=None, max_iters=30, rel_tol=0.01, precond=None):
 
     Each column stops once its residual drops below ``rel_tol`` times its
     starting residual, or after ``max_iters`` sweeps.  ``precond``, when
-    given, maps a residual block to a new, preconditioned block and leaves
-    its argument alone.  The solver passes a solve with A followed by a
-    projection that removes the locked eigenvectors in the B inner product:
-    ``A - theta*B`` is not positive definite on their span, and the
-    projected directions stay out of it.  Without ``precond`` the sweeps
+    given, is called as ``precond(r, out)``: it writes the preconditioned
+    residual block ``r`` into ``out``, a same-shape F-order block of a work
+    array held for the whole solve, and leaves ``r`` alone.  The solver
+    passes either A's band solve followed by a projection that removes the
+    locked eigenvectors in the B inner product (``A - theta*B`` is not
+    positive definite on their span, and the projected directions stay out
+    of it) or a scaling by ``1 / diag(A)``.  Without ``precond`` the sweeps
     are plain CG.
     """
     rhs = np.asfortranarray(rhs, dtype=np.float64)
@@ -62,9 +64,15 @@ def block_cg(op, rhs, x0=None, max_iters=30, rel_tol=0.01, precond=None):
         r = rhs - op.apply(x)
 
     rn0 = np.sqrt(_col_dots(r, r))
-    # The first r.z is taken against a C-order copy: einsum rounds by
+    # Plain CG takes the first r.z against a C-order copy: einsum rounds by
     # layout, and this is the rounding the solver's results were pinned with.
-    z = precond(r) if precond is not None else r.copy()
+    # A preconditioner writes into z, F-order like the block it is handed on
+    # every later sweep.
+    if precond is None:
+        z = r.copy()
+    else:
+        z = np.empty((n, k), order="F")
+        precond(r, z)
     rz = _col_dots(r, z)
     p = np.array(z, dtype=np.float64, order="F")
     q = np.empty((n, k), order="F")
@@ -123,7 +131,8 @@ def block_cg(op, rhs, x0=None, max_iters=30, rel_tol=0.01, precond=None):
                 continue
             pa, ra = p[:, :na], r[:, :na]
         if precond is not None:
-            za = precond(ra)
+            za = z[:, :na]
+            precond(ra, za)
             rz_new = _col_dots(ra, za)
         else:
             za, rz_new = ra, rr

@@ -174,6 +174,15 @@ class CsrOperator(LinearOperator):
             return None
         return lambda r: scipy.linalg.cho_solve_banded((factor, True), r, check_finite=False)
 
+    def diagonal_solver(self):
+        """A function ``f(r, out)`` that writes ``r / diag(A)`` into ``out``
+        for a block ``r``, or None when a diagonal entry is not positive."""
+        d = self.diagonal()
+        if not (d > 0.0).all():
+            return None
+        inv = (1.0 / d)[:, None]
+        return lambda r, out: np.multiply(r, inv, out=out)
+
 
 def _half_bandwidth(sp):
     """The largest ``|i - j|`` over the stored entries of a CSR matrix with

@@ -15,9 +15,10 @@ spanned by ``[X, P, W]``:
   converges it is 0, or 10% below the lowest Ritz value when that is
   negative, so an indefinite A still draws the step to the bottom of its
   spectrum and not to the eigenvalues nearest 0.  Shift "none" keeps 0.
-  The one factorization: when A is a CSR matrix whose band Cholesky factor
-  takes no more room than A and exists, CG is preconditioned by it, with
-  the locked pairs projected out (``_precond``); otherwise CG is plain.
+  When A is a CSR matrix, CG is preconditioned (``_precond``): by A's band
+  Cholesky factor, with the locked pairs projected out, when the factor
+  takes no more room than A and exists; else by ``1 / diag(A)`` when that
+  diagonal is positive.  Every other A gets plain CG.
 
 The projected matrix is assembled structurally - the X block is the
 diagonal of Ritz values, the X-P block vanishes by construction, the P
@@ -112,6 +113,13 @@ class IterationRecord:
 
 @dataclass
 class SolverReport:
+    """What a solve returns.  ``eigenvalues`` are the Rayleigh quotients of
+    the columns of ``eigenvectors``, and ``residuals`` are taken against
+    them; the first ``num_converged`` pairs, and the rest, are each in
+    ascending order.  There are ``num_eigen`` pairs, except that a moving
+    run stopped at ``max_gcg_iters`` holds only its stored pairs and its
+    window's X, which can be fewer."""
+
     status: str                        # "converged" | "max_iterations"
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -175,16 +183,20 @@ def _rel_residual(ax_j, x_j, bx_j, lam_j, generalized):
     return math.sqrt(float(r @ r)) / denom
 
 
-def _residuals(a, b_op, blocks, lam):
+def _residuals(a, b_op, blocks, lam, quotients=False):
     """Relative residual of each column of the column blocks ``blocks``,
-    taken in order, against the values ``lam``.  A and B are applied one
-    block at a time as the blocks are drawn, so a caller that stops early
-    stops the operator applications too."""
+    taken in order, against the values ``lam``.  With ``quotients`` each
+    value is first overwritten by its column's Rayleigh quotient
+    ``x'Ax / x'Bx``.  A and B are applied one block at a time as the blocks
+    are drawn, so a caller that stops early stops the operator applications
+    too."""
     done = 0
     for xc in blocks:
         axc = a.apply(xc)
         bxc = b_op.apply(xc) if b_op is not None else xc
         for j in range(xc.shape[1]):
+            if quotients:
+                lam[done + j] = float(xc[:, j] @ axc[:, j]) / float(xc[:, j] @ bxc[:, j])
             yield _rel_residual(
                 axc[:, j], xc[:, j], bxc[:, j], float(lam[done + j]), b_op is not None
             )
@@ -316,7 +328,8 @@ class _Window:
     shift_op: object = None             # inner-solve operator, rebuilt per theta
     shift_theta: float | None = None
     a_solve: object = None              # A's band Cholesky solve, or None
-    a_solve_tried: bool = False         # a_solve is built at the first damped step
+    a_scale: object = None              # else its diagonal scaling, or None
+    a_solve_tried: bool = False         # both are built at the first damped step
 
     def deflation(self):
         """What W is kept B-orthogonal to: the stored pairs, X and P."""
@@ -420,26 +433,29 @@ def _lock_and_momentum(win, basis, abar, dec, c, group):
 
 
 def _precond(win, a, b_op):
-    """The inner CG's preconditioner, or None for plain CG: A's band
-    Cholesky solve, when ``CsrOperator.band_solver`` builds one, followed by
-    a B-orthogonal projection against the locked pairs, on whose span
-    ``A - theta*B`` is not positive definite."""
+    """The inner CG's preconditioner, or None for plain CG.  A CSR matrix A
+    gets its band Cholesky solve, when ``CsrOperator.band_solver`` builds
+    one, followed by a B-orthogonal projection against the locked pairs, on
+    whose span ``A - theta*B`` is not positive definite.  Otherwise it gets
+    the scaling by ``1 / diag(A)`` when ``CsrOperator.diagonal_solver``
+    builds one, without the projection: the solves converge without it,
+    and on the moving window, whose locked prefix holds the whole store,
+    it cost more than the scaling saved."""
     if not win.a_solve_tried:
         win.a_solve_tried = True
         if isinstance(a, CsrOperator):
             win.a_solve = a.band_solver()
-    solve = win.a_solve
-    if solve is None:
-        return None
-    q = win.v[:, : win.locked]
-    if not q.shape[1]:
-        return solve
+            if win.a_solve is None:
+                win.a_scale = a.diagonal_solver()
+    if win.a_solve is None:
+        return win.a_scale
+    solve, q = win.a_solve, win.v[:, : win.locked]
 
-    def apply(r):
-        z = solve(r)
-        bz = b_op.apply(z) if b_op is not None else z
-        z -= q @ (q.T @ bz)
-        return z
+    def apply(r, out):
+        out[...] = solve(r)
+        if q.shape[1]:
+            bz = b_op.apply(out) if b_op is not None else out
+            out -= q @ (q.T @ bz)
 
     return apply
 
@@ -588,20 +604,30 @@ def gcg_solve(a, b=None, config=None):
                 # put a floor under the last residuals: fold them back in
                 win.fold()
 
-    # ascending order: the stored pairs, then the live window, padded past
-    # its locked prefix with unconverged Ritz pairs up to num_eigen; the
-    # copies keep a report from pinning the whole basis
+    # the stored pairs, then the live window, as SolverReport describes.
+    # The structured projection's carried Ritz values drift from the
+    # quotients on ill-conditioned problems, and the quotients, or a later
+    # window's pairs below stored ones, can break the order.  The copies
+    # keep a report from pinning the whole basis
     k = min(ne, win.sx)
+    nc = min(win.locked, ne)
+    values = win.lam[:k].copy()
     blocks = (win.v[:, start : min(start + bs, k)] for start in range(0, k, bs))
-    residuals = np.fromiter(_residuals(a, b_op, blocks, win.lam), float, k)
+    residuals = np.fromiter(_residuals(a, b_op, blocks, values, quotients=True), float, k)
+    order = np.concatenate(
+        (np.argsort(values[:nc], kind="stable"), nc + np.argsort(values[nc:], kind="stable"))
+    )
+    vectors = np.empty((n, k), order="F")
+    for j, col in enumerate(order):   # np.take into F-order buffers the input
+        vectors[:, j] = win.v[:, col]
 
     return SolverReport(
         status=status,
-        eigenvalues=win.lam[:k].copy(),
-        eigenvectors=win.v[:, :k].copy(order="F"),
-        num_converged=min(win.locked, ne),
+        eigenvalues=values[order],
+        eigenvectors=vectors,
+        num_converged=nc,
         iterations=len(history),
-        residuals=residuals,
+        residuals=residuals[order],
         history=history,
         stagnated=_stagnation_flag(history, _STALL_WINDOW),
         max_projection_dim=max(rec.basis_size for rec in history),

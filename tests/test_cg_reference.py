@@ -139,8 +139,10 @@ def test_bit_identical_on_the_solver_path(seed):
 
 
 def _jacobi(op):
+    """Scaling by 1/|diag|, in block_cg's form ``f(r, out)`` and, without
+    ``out``, in the reference's ``f(r)``."""
     inv = 1.0 / np.abs(op.diagonal())
-    return lambda r: r * inv[:, None]
+    return lambda r, out=None: np.multiply(r, inv[:, None], out=out)
 
 
 @pytest.mark.parametrize("seed", range(60))

@@ -273,3 +273,32 @@ class TestBandSolver:
         a = CsrOperator(matrix)
         assert _half_bandwidth(a._sp) == 1
         assert a.band_solver() is None
+
+
+class TestDiagonalSolver:
+    """The scaling by 1/diag(A) is built when every diagonal entry is
+    positive, and writes into the block it is handed."""
+
+    def test_built_for_a_positive_diagonal(self, rng):
+        from gcgeig import generate_builtin
+
+        a, _ = generate_builtin("clustered-random", 300, seed=1)
+        scale = a.diagonal_solver()
+        assert scale is not None
+        r = np.asfortranarray(rng.standard_normal((a.dim, 4)))
+        before = r.copy()
+        out = np.empty_like(r, order="F")
+        scale(r, out)
+        np.testing.assert_array_equal(r, before)
+        np.testing.assert_array_equal(out, r * (1.0 / a.diagonal())[:, None])
+        # the solver hands it a leading block of CG's work array
+        work = np.zeros((a.dim, 6), order="F")
+        scale(r, work[:, :4])
+        np.testing.assert_array_equal(work[:, :4], out)
+        assert not work[:, 4:].any()
+
+    @pytest.mark.parametrize("entry", [0.0, -1.0])
+    def test_not_built_for_a_nonpositive_entry(self, entry):
+        m = tridiag(50, -1.0, 2.0, -1.0).tolil()
+        m[7, 7] = entry
+        assert CsrOperator(m.tocsr()).diagonal_solver() is None

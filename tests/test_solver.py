@@ -441,6 +441,16 @@ def _recording_block_cg(monkeypatch):
     return seen
 
 
+def _assert_diagonal_scaling(seen, diag):
+    """Every preconditioner the solve handed CG is the one scaling by
+    1/diag, built once."""
+    assert all(p is seen[0] for p in seen)
+    r = np.asfortranarray(np.random.default_rng(0).standard_normal((diag.size, 3)))
+    out = np.empty_like(r, order="F")
+    seen[0](r, out)
+    np.testing.assert_array_equal(out, r * (1.0 / diag)[:, None])
+
+
 def test_banded_fem_converges_with_the_band_factor(monkeypatch):
     """fem1d-p1 at n=20000: plain CG stops at 1000 iterations with 4 of 10
     pairs; preconditioned by A's band factor it converges in 23.  A is
@@ -466,9 +476,9 @@ def test_banded_fem_converges_with_the_band_factor(monkeypatch):
     x = rep.eigenvectors
     rq = np.einsum("ij,ij->j", x, a.apply(x)) / np.einsum("ij,ij->j", x, b.apply(x))
     np.testing.assert_allclose(rq, ref, rtol=1e-12, atol=0)
-    # the reported values are the structured projection's carried Ritz
-    # values, which drift from the vectors' quotients: 1.8e-8 at this size
-    np.testing.assert_allclose(rep.eigenvalues, ref, rtol=1e-7, atol=0)
+    # the reported values are these quotients; the structured projection's
+    # carried Ritz values drifted from them by 1.8e-8 at this size
+    np.testing.assert_allclose(rep.eigenvalues, ref, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("moving", [False, True])
@@ -485,21 +495,118 @@ def test_band_factor_projects_out_the_locked_pairs(moving):
     np.testing.assert_allclose(rep.eigenvalues, ref, rtol=0, atol=1e-10)
 
 
+def _nonpositive_diagonal(n):
+    """tridiag(-1, 2, -1) with -1 in the middle of the diagonal: indefinite,
+    and no diagonal scaling."""
+    m = tridiag(n, -1.0, 2.0, -1.0).tolil()
+    m[n // 2, n // 2] = -1.0
+    return m.tocsr()
+
+
 @pytest.mark.parametrize("moving", [False, True])
 @pytest.mark.parametrize(
-    "make",
-    [lambda n: tridiag(n, -1.0, 1.5, -1.0), neumann_tridiag, lambda n: TRIDIAG(n).toarray()],
-    ids=["indefinite", "singular-neumann", "dense"],
+    "make,scaled",
+    [
+        (lambda n: tridiag(n, -1.0, 1.5, -1.0), True),
+        (neumann_tridiag, True),
+        (_nonpositive_diagonal, False),
+        (lambda n: TRIDIAG(n).toarray(), False),
+        (lambda n: np.linspace(-1.0, 3.0, n), False),
+    ],
+    ids=["indefinite", "singular-neumann", "nonpositive-diagonal", "dense", "diagonal-array"],
 )
-def test_plain_cg_where_no_band_factor_exists(monkeypatch, make, moving):
-    """An indefinite or singular banded A, and any dense A, keep plain CG and
-    still converge to eigh's values."""
+def test_plain_cg_where_no_band_factor_exists(monkeypatch, make, scaled, moving):
+    """An indefinite or singular banded A has no band factor, but its
+    diagonal is positive, so CG is scaled by 1/diag(A).  A CSR matrix with a
+    nonpositive diagonal entry, any dense A and a diagonal given as a 1-D
+    array keep plain CG.  All converge to eigh's values."""
     seen = _recording_block_cg(monkeypatch)
     n, ne = 200, 10
     a = make(n)
     rep = gcg_solve(a, config=SolverConfig(num_eigen=ne, seed=1, moving=moving))
-    assert seen and all(p is None for p in seen)
+    assert seen
+    if scaled:
+        _assert_diagonal_scaling(seen, a.diagonal())
+    else:
+        assert all(p is None for p in seen)
     assert rep.status == "converged"
-    dense = a.toarray() if scipy.sparse.issparse(a) else a
+    dense = a.toarray() if scipy.sparse.issparse(a) else a if a.ndim == 2 else np.diag(a)
     ref = scipy.linalg.eigh(dense, eigvals_only=True)[:ne]
     np.testing.assert_allclose(rep.eigenvalues, ref, rtol=0, atol=1e-10)
+
+
+def _fem2d(m):
+    """The tensor product of fem1d-p1 of size m: A = K(x)M + M(x)K and
+    B = M(x)M, n = m*m, half-bandwidth m + 1, so no band factor.  Its
+    eigenvalues are the sums mu_i + mu_j of the 1-D ones, which repeat in
+    pairs."""
+    k1, m1 = generate_builtin("fem1d-p1", m, seed=0)
+    k, mm = k1.tocsr(), m1.tocsr()
+    a = (scipy.sparse.kron(k, mm) + scipy.sparse.kron(mm, k)).tocsr()
+    b = scipy.sparse.kron(mm, mm).tocsr()
+    h = 1.0 / (m + 1)
+    t = np.arange(1, m + 1) * np.pi * h
+    mu = (6.0 / h**2) * 2.0 * np.sin(t / 2.0) ** 2 / (2.0 + np.cos(t))
+    return a, b, np.sort(np.add.outer(mu, mu).ravel())
+
+
+@pytest.mark.parametrize("moving", [False, True])
+def test_wide_band_generalized_problem_is_diagonally_scaled(monkeypatch, moving):
+    """The 2-D fem1d-p1 tensor product at m=40, ne=20: CG is scaled by
+    1/diag(A), and every copy of each paired eigenvalue comes back, in
+    ascending order, to the closed form (2e-14 measured)."""
+    seen = _recording_block_cg(monkeypatch)
+    a, b, ref = _fem2d(40)
+    ne = 20
+    rep = gcg_solve(a, b, SolverConfig(num_eigen=ne, seed=1, moving=moving))
+    assert rep.status == "converged"
+    _assert_diagonal_scaling(seen, a.diagonal())
+    np.testing.assert_allclose(rep.eigenvalues, ref[:ne], rtol=1e-12, atol=0)
+    assert np.all(np.diff(rep.eigenvalues) >= 0.0)
+    assert rep.residuals.max() < 1e-8
+
+
+@pytest.mark.parametrize("moving,max_iters", [(False, 130), (True, 200)])
+def test_diagonal_scaling_cuts_outer_iterations(moving, max_iters):
+    """D^1/2 L D^1/2 with L the 2-D Laplacian on a 40 x 40 grid and D
+    log-uniform in [1, 1e3], ne=20: plain CG took 169 iterations wide and
+    310 moving; scaled by 1/diag(A), 110 and 119."""
+    m, ne = 40, 20
+    lap = tridiag(m, -1.0, 2.0, -1.0)
+    eye = scipy.sparse.identity(m, format="csr")
+    d = scipy.sparse.diags(np.sqrt(10.0 ** np.random.default_rng(0).uniform(0.0, 3.0, m * m)))
+    a = (d @ (scipy.sparse.kron(lap, eye) + scipy.sparse.kron(eye, lap)) @ d).tocsr()
+    rep = gcg_solve(a, config=SolverConfig(num_eigen=ne, seed=1, moving=moving))
+    assert rep.status == "converged" and rep.iterations <= max_iters
+    ref = scipy.linalg.eigh(a.toarray(), eigvals_only=True, subset_by_index=[0, ne - 1])
+    np.testing.assert_allclose(rep.eigenvalues, ref, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("moving", [False, True])
+def test_converged_pairs_come_back_in_ascending_order(moving):
+    """R R' + 0.01 I with R sparse random (n=300, density 0.01): 0.01 is a
+    26-fold eigenvalue.  The carried Ritz values came back out of order,
+    with a copy of 0.01 missing (1.2e-4 from eigh's values); the reported
+    values are now the vectors' Rayleigh quotients, sorted."""
+    r = scipy.sparse.random(300, 300, density=0.01, random_state=2, format="csr")
+    a = (r @ r.T + 0.01 * scipy.sparse.identity(300)).tocsr()
+    ne = 20
+    rep = gcg_solve(a, config=SolverConfig(num_eigen=ne, seed=1, moving=moving))
+    assert rep.status == "converged"
+    assert np.all(np.diff(rep.eigenvalues) >= 0.0)
+    ref = scipy.linalg.eigh(a.toarray(), eigvals_only=True, subset_by_index=[0, ne - 1])
+    np.testing.assert_allclose(rep.eigenvalues, ref, rtol=0, atol=1e-8)
+    x = rep.eigenvectors
+    rq = np.einsum("ij,ij->j", x, a @ x) / np.einsum("ij,ij->j", x, x)
+    np.testing.assert_allclose(rep.eigenvalues, rq, rtol=1e-13, atol=0)
+
+
+def test_moving_run_stopped_early_reports_fewer_pairs():
+    """The report keeps the stored pairs and the window's X, at most
+    num_eigen of them: a moving run stopped at max_gcg_iters before the
+    window slid far enough reports fewer pairs than asked."""
+    a, _ = generate_builtin("diag-range", 200, seed=0)
+    rep = gcg_solve(a, config=SolverConfig(num_eigen=50, moving=True, max_gcg_iters=2))
+    assert rep.status == "max_iterations"
+    assert rep.eigenvalues.shape == (30,) and rep.eigenvectors.shape == (200, 30)
+    assert rep.residuals.shape == (30,) and rep.num_converged <= 30

@@ -3,8 +3,8 @@
 The solver combines block damping inverse power iteration, a structured
 Rayleigh-Ritz projection, dynamic shifts for the inner CG solves, locking of
 converged pairs, and an optional moving window that caps the projected
-problem size.  Two communication-lean block orthogonalization schemes are
-included, with instrumented reduction counts.
+problem size.  Block orthogonalization is a communication-lean recursive
+SVD-based scheme with instrumented reduction counts.
 """
 
 from .errors import (
@@ -34,7 +34,7 @@ from .io import (
     write_history,
     write_matrix_market,
 )
-from .orth import OrthConfig, OrthOutcome, modified_block_orth, orth_against, recursive_orth_svd
+from .orth import OrthOutcome, orth_against, recursive_orth_svd
 from .solver import SolverConfig, SolverReport, gcg_solve, moving_memory_budget
 from . import kernels
 
@@ -51,9 +51,7 @@ __all__ = [
     "RunRecord",
     "write_history",
     "history_rows",
-    "OrthConfig",
     "OrthOutcome",
-    "modified_block_orth",
     "recursive_orth_svd",
     "orth_against",
     "LinearOperator",

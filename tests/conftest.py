@@ -28,6 +28,46 @@ def neumann_tridiag(n):
     return m.tocsr()
 
 
+def block_mgs(x, width, b=None):
+    """The paper's block modified Gram-Schmidt, the reference for its
+    reduction count m + m/b - 1.  B-orthonormalizes ``x`` in place, in
+    blocks of ``width`` columns, and returns the global reductions taken.
+
+    Each column costs one fused reduction: its squared B-norm with its
+    projections on the rest of its block.  Each block boundary costs one
+    deflation of the later columns against the finished block, with their
+    squared norms fused in; it repeats while a pass removes more than half
+    of some column's squared norm ("twice is enough").  A dependent column
+    raises ``LinAlgError`` instead of being refilled from the rear.
+    """
+    bdot = (lambda y: y) if b is None else (lambda y: b.apply(np.asfortranarray(y)))
+    reductions, scale = 0, 0.0
+    for start in range(0, x.shape[1], width):
+        stop = min(start + width, x.shape[1])
+        for j in range(start, stop):
+            bcol = bdot(x[:, j : j + 1])
+            nrm2 = float(x[:, j] @ bcol[:, 0])
+            fwd = x[:, j + 1 : stop].T @ bcol
+            reductions += 1
+            scale = max(scale, nrm2)
+            if nrm2 <= 1e-10 * scale:
+                raise np.linalg.LinAlgError(f"column {j} is dependent")
+            x[:, j] /= np.sqrt(nrm2)
+            x[:, j + 1 : stop] -= np.outer(x[:, j], fwd / np.sqrt(nrm2))
+        block, rest = x[:, start:stop], x[:, stop:]
+        for _ in range(3):
+            if rest.shape[1] == 0:
+                break
+            brest = bdot(rest)
+            r = block.T @ brest
+            norms = np.einsum("ij,ij->j", rest, brest)
+            reductions += 1
+            rest -= block @ r
+            if not np.any(np.einsum("ij,ij->j", r, r) > 0.5 * norms):
+                break
+    return reductions
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from gcgeig import OrthConfig, modified_block_orth, orth_against, recursive_orth_svd
+import gcgeig.orth
+from gcgeig import orth_against, recursive_orth_svd
 from gcgeig.errors import AllDependent, InvalidRange
 from gcgeig.operators import CsrOperator
+
+from conftest import block_mgs
 
 
 def random_block(n, m, seed):
@@ -43,35 +46,27 @@ def span_residual(kept, original, b=None):
 # ---------------------------------------------------------------------------
 
 
+# The block scheme is the paper's reference, ``block_mgs`` in conftest.py.
+
+
 def test_block_scheme_count_m8_b2():
     # m columns + one deflation sweep per block boundary: m + m/b - 1
     x = random_block(64, 8, seed=101)
-    out = modified_block_orth(x, cfg=OrthConfig(block_width=2))
-    assert out.reduction_count == 8 + 8 // 2 - 1 == 11
-    assert out.num_kept == 8
-    assert out.replaced_indices == []
-    assert gram_defect(x[:, :8]) <= 1e-12
+    assert block_mgs(x, 2) == 8 + 8 // 2 - 1 == 11
+    assert gram_defect(x) <= 1e-12
 
 
 def test_block_scheme_count_m32_b2():
     x = random_block(256, 32, seed=202)
-    out = modified_block_orth(x, cfg=OrthConfig(block_width=2))
-    assert out.reduction_count == 32 + 32 // 2 - 1 == 47
-    assert out.num_kept == 32
+    assert block_mgs(x, 2) == 32 + 32 // 2 - 1 == 47
 
 
-def test_block_scheme_count_default_width():
-    # default block width is m // 4 (capped at 200): m=8 -> b=2 -> 11 again
-    x = random_block(64, 8, seed=103)
-    out = modified_block_orth(x)
-    assert out.reduction_count == 11
-
-
-def test_recursive_count_three_leaf_passes():
+def test_recursive_count_three_leaf_passes(monkeypatch):
     # ask for an unattainable Gram defect so every leaf runs the full
     # three-pass budget: two 16-wide leaves at 3 + one split sweep = 7
+    monkeypatch.setattr(gcgeig.orth, "_REORTH_TOL", 1e-15)
     x = random_block(256, 32, seed=303)
-    out = recursive_orth_svd(x, cfg=OrthConfig(reorth_tol=1e-15))
+    out = recursive_orth_svd(x)
     assert out.reduction_count == 32 // 4 - 1 == 7
     assert out.num_kept == 32
     assert gram_defect(x) <= 1e-12
@@ -81,7 +76,7 @@ def test_recursive_count_adaptive_exit():
     # at the default tolerance the second Gram check already passes,
     # so each leaf stops after 2 rounds: 2 + 2 + 1
     x = random_block(256, 32, seed=304)
-    out = recursive_orth_svd(x, cfg=OrthConfig())
+    out = recursive_orth_svd(x)
     assert out.reduction_count == 5
     assert gram_defect(x) <= 1e-10
 
@@ -97,13 +92,11 @@ def test_gram_defect_within_tolerance(scheme, use_b):
     b = spd_tridiag(50) if use_b else None
     x = random_block(50, 8, seed=7 if use_b else 8)
     original = x.copy()
-    cfg = OrthConfig()
     if scheme == "block":
-        out = modified_block_orth(x, b=b, cfg=cfg)
+        block_mgs(x, 2, b=b)
     else:
-        out = recursive_orth_svd(x, b=b, cfg=cfg)
-    assert out.num_kept == 8
-    assert gram_defect(x, b) <= 10 * cfg.reorth_tol
+        assert recursive_orth_svd(x, b=b).num_kept == 8
+    assert gram_defect(x, b) <= 1e-9
     assert span_residual(x, original, b) <= 1e-10
 
 
@@ -116,21 +109,11 @@ def test_many_seeds_property_sweep(scheme):
         x = np.asfortranarray(rng.uniform(-1, 1, (n, m)))
         original = x.copy()
         if scheme == "block":
-            out = modified_block_orth(x)
+            block_mgs(x, max(m // 4, 1))
         else:
-            out = recursive_orth_svd(x)
-        assert out.num_kept == m
+            assert recursive_orth_svd(x).num_kept == m
         assert gram_defect(x[:, :m]) <= 1e-9
         assert span_residual(x[:, :m], original) <= 1e-8
-
-
-def test_block_scheme_idempotent_on_orthonormal_input():
-    x = random_block(40, 6, seed=11)
-    modified_block_orth(x)
-    before = x.copy()
-    out = modified_block_orth(x)
-    assert out.num_kept == 6
-    assert np.abs(x - before).max() <= 1e-12
 
 
 def test_recursive_leaf_skips_touching_orthonormal_input():
@@ -148,40 +131,29 @@ def test_recursive_leaf_skips_touching_orthonormal_input():
 # ---------------------------------------------------------------------------
 
 
-def test_block_scheme_replaces_duplicate_column():
-    x = random_block(40, 8, seed=21)
-    x[:, 3] = x[:, 1]
-    out = modified_block_orth(x, cfg=OrthConfig(block_width=2))
-    assert out.num_kept == 7
-    assert 3 in out.replaced_indices
-    assert gram_defect(x[:, :7]) <= 1e-9
-
-
-def test_recursive_replaces_duplicate_column():
+@pytest.mark.parametrize("use_b", [False, True])
+def test_recursive_replaces_duplicate_column(use_b):
+    # the slot of the dependent column is refilled from the rear, so the
+    # seven kept columns still span all eight originals
+    b = spd_tridiag(40) if use_b else None
     x = random_block(40, 8, seed=22)
     x[:, 3] = x[:, 1]
-    out = recursive_orth_svd(x)
+    original = x.copy()
+    out = recursive_orth_svd(x, b=b)
     assert out.num_kept == 7
-    assert out.replaced_indices  # some slot was refilled from the rear
-    assert all(0 <= k < 8 for k in out.replaced_indices)
-    assert gram_defect(x[:, :7]) <= 1e-9
-
-
-def test_block_scheme_zero_column_mid_block():
-    x = random_block(30, 6, seed=23)
-    x[:, 4] = 0.0
-    out = modified_block_orth(x, cfg=OrthConfig(block_width=3))
-    assert out.num_kept == 5
-    assert gram_defect(x[:, :5]) <= 1e-9
+    assert gram_defect(x[:, :7], b) <= 1e-9
+    assert span_residual(x[:, :7], original, b) <= 1e-9
 
 
 @pytest.mark.parametrize("scheme", ["block", "recursive"])
 def test_all_dependent_raises(scheme):
     x = np.zeros((20, 4), order="F")
-    with pytest.raises(AllDependent):
-        if scheme == "block":
-            modified_block_orth(x)
-        else:
+    if scheme == "block":
+        # the reference raises on a dependent column instead of refilling
+        with pytest.raises(np.linalg.LinAlgError):
+            block_mgs(x, 2)
+    else:
+        with pytest.raises(AllDependent):
             recursive_orth_svd(x)
 
 
@@ -235,16 +207,19 @@ def test_orth_against_basic(use_b):
     assert gram_defect(x, b) <= 1e-9
 
 
-def test_orth_against_drops_spanned_column():
+@pytest.mark.parametrize("use_b", [False, True])
+def test_orth_against_drops_spanned_column(use_b):
+    b = spd_tridiag(30) if use_b else None
     basis = random_block(30, 4, seed=53)
-    recursive_orth_svd(basis)
+    recursive_orth_svd(basis, b=b)
     x = random_block(30, 3, seed=54)
     x[:, 1] = basis @ np.array([0.2, -0.4, 1.0, 0.3])
-    out = orth_against(x, basis)
+    out = orth_against(x, basis, b=b)
     assert out.num_kept == 2
     kept = x[:, :2]
-    assert float(np.abs(basis.T @ kept).max()) <= 1e-9
-    assert gram_defect(kept) <= 1e-9
+    bk = kept if b is None else b.apply(np.asfortranarray(kept))
+    assert float(np.abs(basis.T @ bk).max()) <= 1e-9
+    assert gram_defect(kept, b) <= 1e-9
 
 
 def test_orth_against_empty_basis_is_plain_orth():

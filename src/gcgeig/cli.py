@@ -52,7 +52,14 @@ def build_parser():
     run.add_argument("--num-eigen", type=int, default=1, metavar="K")
     run.add_argument("--tol", type=float, default=1e-8, metavar="T")
     run.add_argument("--block-size", type=int, default=None, metavar="BS")
-    run.add_argument("--shift", choices=("dynamic", "none"), default="dynamic")
+    run.add_argument(
+        "--shift",
+        choices=("dynamic", "none"),
+        default="dynamic",
+        help="inner-solve shift theta: dynamic (default) starts at a floor under "
+        "the spectrum, from the Gershgorin bounds of CSR input and else 0, and "
+        "follows the largest locked eigenvalue; none keeps theta = 0",
+    )
     run.add_argument("--cg-max-iters", type=int, default=30, metavar="M")
     run.add_argument("--cg-rel-tol", type=float, default=0.01, metavar="R")
     run.add_argument("--moving", choices=("on", "off"), default="off")

@@ -12,9 +12,12 @@ spanned by ``[X, P, W]``:
 * W is a damped inverse power update: a few CG sweeps on
   ``(A - theta*B) W = B X (Lambda - theta)`` started from X.  The
   "dynamic" theta is the largest converged eigenvalue so far; before any
-  converges it is 0, or 10% below the lowest Ritz value when that is
-  negative, so an indefinite A still draws the step to the bottom of its
-  spectrum and not to the eigenvalues nearest 0.  Shift "none" keeps 0.
+  converges it is a floor under the spectrum (``_spectrum_floor``), or 10%
+  below the lowest Ritz value when that is negative, so an indefinite A
+  still draws the step to the bottom of its spectrum and not to the
+  eigenvalues nearest 0.  The floor comes from the Gershgorin intervals of
+  CSR matrices A and B, once per solve, and is positive only when A's lies
+  above 0; every other input gets 0.  Shift "none" keeps 0.
   When A is a CSR matrix, CG is preconditioned (``_precond``): by A's band
   Cholesky factor, with the locked pairs projected out, when the factor
   takes no more room than A and exists; else by ``1 / diag(A)`` when that
@@ -155,17 +158,38 @@ def resolve_block_sizes(config, n):
     return bs, min(ne + 3 * bs, n)
 
 
-def select_shift(mode, lam, num_locked):
+def select_shift(mode, lam, num_locked, floor=0.0):
     """Damping shift: the largest eigenvalue locked so far.  Before any is
-    locked, 0, or 10% below the lowest Ritz value when that is negative."""
+    locked, ``floor``, a lower bound on the spectrum (``_spectrum_floor``),
+    or 10% below the lowest Ritz value when that is negative.  Mode "none"
+    always returns 0."""
     if mode not in ("dynamic", "none"):
         raise InvalidShape(f"unknown shift mode {mode!r}")
     if mode == "none":
         return 0.0
     if num_locked <= 0:
         low = float(lam[0])
-        return low - 0.1 * abs(low) if low < 0.0 else 0.0
+        return low - 0.1 * abs(low) if low < 0.0 else float(floor)
     return float(lam[num_locked - 1])
+
+
+def _spectrum_floor(a, b_op):
+    """A positive lower bound on the eigenvalues of ``(A, B)``, or 0.  For a
+    CSR matrix A whose Gershgorin interval starts at ``lo_A > 0`` it is
+    ``lo_A``, or ``lo_A / hi_B`` with a CSR matrix B whose interval ends at
+    ``hi_B``, since ``x'Ax >= lo_A x'x`` and ``x'Bx <= hi_B x'x``.  Every
+    other input gets 0."""
+    if not isinstance(a, CsrOperator):
+        return 0.0
+    if b_op is not None and not isinstance(b_op, CsrOperator):
+        return 0.0
+    lo = a.gershgorin()[0]
+    if not lo > 0.0:
+        return 0.0
+    if b_op is None:
+        return lo
+    hi = b_op.gershgorin()[1]
+    return lo / hi if hi > 0.0 else 0.0
 
 
 def _rel_residual(ax_j, x_j, bx_j, lam_j, generalized):
@@ -524,6 +548,7 @@ def gcg_solve(a, b=None, config=None):
         raise InvalidShape(f"seed must be at least 0, got {cfg.seed}")
     ne = int(cfg.num_eigen)
     bs, sx = resolve_block_sizes(cfg, n)
+    floor = _spectrum_floor(a, b_op)
 
     # a moving run holds its stored pairs, an X of at most 3*bs columns past
     # them, and P and W of at most bs each; the stored pairs and W together
@@ -567,7 +592,7 @@ def gcg_solve(a, b=None, config=None):
         if c >= ne:
             win.lock(basis, dec.values, c, dec.vectors)
             # unlike every other record's, this theta is taken after locking
-            rec.theta = select_shift(cfg.shift_mode, win.lam, win.locked)
+            rec.theta = select_shift(cfg.shift_mode, win.lam, win.locked, floor)
             status = "converged"
             break
 
@@ -581,7 +606,7 @@ def gcg_solve(a, b=None, config=None):
             c = win.locked
         timer.lap("t_step4")
 
-        rec.theta = select_shift(cfg.shift_mode, win.lam, win.locked)
+        rec.theta = select_shift(cfg.shift_mode, win.lam, win.locked, floor)
         width = max(1, min(bs, ne - c, win.sx - c))
         if not slide:
             _lock_and_momentum(win, basis, abar, dec, c, width)

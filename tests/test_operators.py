@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
+import gcgeig.operators
 from gcgeig.errors import InvalidMatrix, Unsupported
 from gcgeig.operators import (
     CsrOperator,
@@ -302,3 +304,88 @@ class TestDiagonalSolver:
         m = tridiag(50, -1.0, 2.0, -1.0).tolil()
         m[7, 7] = entry
         assert CsrOperator(m.tocsr()).diagonal_solver() is None
+
+
+def _diagonally_dominant(n, seed):
+    """A random symmetric CSR matrix whose diagonal exceeds each row's
+    off-diagonal absolute sum by a random margin in [0.1, 1.1]."""
+    rng = np.random.default_rng(seed)
+    off = scipy.sparse.random(n, n, density=0.05, random_state=seed, format="csr")
+    off.data = rng.standard_normal(off.nnz)
+    off = off + off.T
+    off.setdiag(0.0)
+    off.eliminate_zeros()
+    rowsum = np.asarray(abs(off).sum(axis=1)).ravel()
+    return (off + scipy.sparse.diags(rowsum + 0.1 + rng.random(n))).tocsr()
+
+
+class TestGershgorin:
+    """The Gershgorin interval holds the spectrum, and the solver's floor
+    under it is positive only when A's interval lies above 0."""
+
+    @staticmethod
+    def _reference(m):
+        dense = m.toarray()
+        d = np.diag(dense)
+        radius = np.abs(dense).sum(axis=1) - np.abs(d)
+        return (d - radius).min(), (d + radius).max()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_holds_the_spectrum(self, seed):
+        m = _diagonally_dominant(80, seed)
+        lo, hi = CsrOperator(m).gershgorin()
+        vals = np.linalg.eigvalsh(m.toarray())
+        assert 0.0 < lo <= vals[0] and vals[-1] <= hi
+        np.testing.assert_allclose((lo, hi), self._reference(m), rtol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_floor_under_a_generalized_spectrum(self, seed):
+        from gcgeig import generate_builtin
+        from gcgeig.solver import _spectrum_floor
+
+        n = 60
+        a = CsrOperator(_diagonally_dominant(n, seed))
+        _, b = generate_builtin("fem1d-p1", n)   # its P1 mass matrix
+        floor = _spectrum_floor(a, b)
+        assert floor == a.gershgorin()[0] / b.gershgorin()[1] > 0.0
+        vals = scipy.linalg.eigh(a.tocsr().toarray(), b.tocsr().toarray(), eigvals_only=True)
+        assert floor <= vals[0]
+
+    def test_exact_on_a_diagonal(self):
+        d = np.array([3.0, -1.5, 7.25, 0.5, 2.0])
+        assert CsrOperator(scipy.sparse.diags(d, format="csr")).gershgorin() == (-1.5, 7.25)
+
+    def test_row_blocks_and_empty_rows(self, monkeypatch):
+        """Rows summed in several blocks, with empty rows inside and at the
+        end of a block, give the dense reference."""
+        m = _diagonally_dominant(50, 7).tolil()
+        for i in (0, 3, 4, 49):
+            m[i, :] = 0.0
+            m[:, i] = 0.0
+        m = m.tocsr()
+        m.eliminate_zeros()
+        monkeypatch.setattr(gcgeig.operators, "_GERSHGORIN_ROWS", 4)
+        np.testing.assert_allclose(CsrOperator(m).gershgorin(), self._reference(m), rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "kind", ["fem1d-p1", "laplacian1d", "indefinite", "dense", "diagonal", "dense-b"]
+    )
+    def test_floor_is_zero(self, kind):
+        """Laplacian rows sum to 0 and an indefinite A has a negative lower
+        end; only CSR matrices are read, so dense and diagonal A, or a dense
+        B, keep the floor at 0 even when A is diagonally dominant."""
+        from gcgeig import generate_builtin
+        from gcgeig.solver import _spectrum_floor
+
+        spd = _diagonally_dominant(40, 1)
+        a, b = {
+            "fem1d-p1": lambda: generate_builtin("fem1d-p1", 200),
+            "laplacian1d": lambda: generate_builtin("laplacian1d", 200),
+            "indefinite": lambda: (CsrOperator(tridiag(50, -1.0, 1.5, -1.0)), None),
+            "dense": lambda: (as_operator(spd.toarray()), None),
+            "diagonal": lambda: (as_operator(np.arange(1.0, 41.0)), None),
+            "dense-b": lambda: (CsrOperator(spd), as_operator(np.eye(40))),
+        }[kind]()
+        assert _spectrum_floor(a, b) == 0.0
+        if kind in ("fem1d-p1", "laplacian1d"):
+            assert a.gershgorin()[0] == 0.0

@@ -273,6 +273,15 @@ def test_select_shift_rules():
     # nothing locked and the lowest Ritz value negative: 10% below it
     assert select_shift("dynamic", np.array([-2.0, 1.0]), 0) == -2.2
     assert select_shift("none", np.array([-2.0, 1.0]), 0) == 0.0
+    # a floor under the spectrum replaces 0 only while nothing is locked
+    # and the lowest Ritz value is not negative
+    assert select_shift("dynamic", lam, 0, floor=0.25) == 0.25
+    assert select_shift("dynamic", np.array([0.0, 1.0]), 0, floor=0.25) == 0.25
+    assert select_shift("dynamic", lam, 2, floor=0.25) == 1.5
+    assert select_shift("dynamic", lam, 3, floor=0.25) == 2.5
+    assert select_shift("dynamic", np.array([-2.0, 1.0]), 0, floor=0.25) == -2.2
+    assert select_shift("none", lam, 0, floor=0.25) == 0.0
+    assert select_shift("none", lam, 2, floor=0.25) == 0.0
     with pytest.raises(InvalidShape):
         select_shift("wat", lam, 0)
 
@@ -610,3 +619,33 @@ def test_moving_run_stopped_early_reports_fewer_pairs():
     assert rep.status == "max_iterations"
     assert rep.eigenvalues.shape == (30,) and rep.eigenvectors.shape == (200, 30)
     assert rep.residuals.shape == (30,) and rep.num_converged <= 30
+
+
+@pytest.mark.parametrize("moving,max_iters", [(False, 65), (True, 85)])
+def test_gershgorin_floor_cuts_outer_iterations(moving, max_iters):
+    """clustered-random n=1000, ne=8: the spectrum sits in [1, 4] and the
+    Gershgorin lower end of A is 0.69.  With theta 0 until the first pair
+    locked, seed 1 took 78 iterations wide and 96 moving; shifted to the
+    Gershgorin floor from the first step, 54 and 71."""
+    a, _ = generate_builtin("clustered-random", 1000, seed=3)
+    rep = gcg_solve(a, config=SolverConfig(num_eigen=8, seed=1, moving=moving))
+    assert rep.status == "converged" and rep.iterations <= max_iters
+    floor = a.gershgorin()[0]
+    assert floor > 0.0 and rep.history[0].theta == floor
+    ref = scipy.linalg.eigh(a.tocsr().toarray(), eigvals_only=True, subset_by_index=[0, 7])
+    assert floor <= ref[0]
+    np.testing.assert_allclose(rep.eigenvalues, ref, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("moving", [False, True])
+def test_floor_at_the_lowest_eigenvalue_of_a_diagonal(moving):
+    """On a diagonal CSR matrix the Gershgorin floor is lambda_min itself,
+    so A - theta*I is singular until the first pair locks.  The solve still
+    converges to the closed form."""
+    a, _ = generate_builtin("diag-range", 2000, seed=0)
+    ne = 100
+    rep = gcg_solve(a, config=SolverConfig(num_eigen=ne, seed=1, moving=moving))
+    assert rep.history[0].theta == 1.0
+    assert rep.status == "converged"
+    np.testing.assert_allclose(rep.eigenvalues, np.arange(1.0, ne + 1.0), rtol=1e-10, atol=0)
+    assert rep.residuals.max() < 1e-8

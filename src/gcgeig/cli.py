@@ -13,7 +13,7 @@ import time
 
 from .errors import GcgError
 from .io import GENERATOR_NAMES, RunRecord, generate_builtin, read_matrix_market, write_history
-from .solver import SolverConfig, gcg_solve, resolve_block_sizes
+from .solver import _SHIFT_MODES, SolverConfig, gcg_solve, resolve_block_sizes
 
 EXIT_CONVERGED = 0
 EXIT_ERROR = 1
@@ -49,22 +49,23 @@ def build_parser():
     )
 
     run = p.add_argument_group("solver")
-    run.add_argument("--num-eigen", type=int, default=1, metavar="K")
-    run.add_argument("--tol", type=float, default=1e-8, metavar="T")
-    run.add_argument("--block-size", type=int, default=None, metavar="BS")
+    d = SolverConfig()
+    run.add_argument("--num-eigen", type=int, default=d.num_eigen, metavar="K")
+    run.add_argument("--tol", type=float, default=d.tol, metavar="T")
+    run.add_argument("--block-size", type=int, default=d.block_size, metavar="BS")
     run.add_argument(
         "--shift",
-        choices=("dynamic", "none"),
-        default="dynamic",
+        choices=_SHIFT_MODES,
+        default=d.shift_mode,
         help="inner-solve shift theta: dynamic (default) starts at a floor under "
         "the spectrum, from the Gershgorin bounds of CSR input and else 0, and "
         "follows the largest locked eigenvalue; none keeps theta = 0",
     )
-    run.add_argument("--cg-max-iters", type=int, default=30, metavar="M")
-    run.add_argument("--cg-rel-tol", type=float, default=0.01, metavar="R")
-    run.add_argument("--moving", choices=("on", "off"), default="off")
-    run.add_argument("--max-iters", type=int, default=1000)
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--cg-max-iters", type=int, default=d.cg_max_iters, metavar="M")
+    run.add_argument("--cg-rel-tol", type=float, default=d.cg_rel_tol, metavar="R")
+    run.add_argument("--moving", choices=("on", "off"), default="on" if d.moving else "off")
+    run.add_argument("--max-iters", type=int, default=d.max_gcg_iters)
+    run.add_argument("--seed", type=int, default=d.seed)
     run.add_argument(
         "--deterministic",
         action="store_true",

@@ -8,7 +8,8 @@ spanned by ``[X, P, W]``:
 * X holds the current Ritz vectors; converged leading columns are locked
   and leave the projected problem.
 * P carries the momentum directions: the part of the previous step kept
-  out of span(X), built purely in coefficient space.
+  out of span(X), built purely in coefficient space, in closed form from
+  the Rayleigh-Ritz eigenvectors past the Ritz block (``_build_p``).
 * W is a damped inverse power update: a few CG sweeps on
   ``(A - theta*B) W = B X (Lambda - theta)`` started from X.  The
   "dynamic" theta is the largest converged eigenvalue so far; before any
@@ -56,9 +57,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cg import block_cg
-from .dense import SpectralDecomposition, gram_svd, sym_eig_full
-# unused here, but perfbench/tracing.py patches this name in this module
-from .dense import sym_eig_range  # noqa: F401
+from .dense import SpectralDecomposition, sym_eig_full
+# unused here, but perfbench/tracing.py patches these names in this module
+from .dense import gram_svd, sym_eig_range  # noqa: F401
 from .errors import AllDependent, InvalidMatrix, InvalidShape
 from .multivec import mv_inner_prod, mv_new, mv_set_random
 from .operators import CsrOperator, ShiftedOperator, as_operator
@@ -75,6 +76,7 @@ __all__ = [
 ]
 
 _TIMING_KEYS = ("t_step2", "t_step3", "t_step4", "t_step5", "t_step6")
+_SHIFT_MODES = ("dynamic", "none")
 _STALL_WINDOW = 50   # iterations without progress that flag a stagnated run
 # The basis is rotated in place this many rows at a time (``_rotate``).  At
 # n=2000 and 400 columns a 256-row block is about 8% slower than one product
@@ -94,7 +96,7 @@ class SolverConfig:
     max_gcg_iters: int = 1000
     cg_max_iters: int = 30
     cg_rel_tol: float = 0.01
-    shift_mode: str = "dynamic"        # "dynamic" | "none"
+    shift_mode: str = "dynamic"        # one of _SHIFT_MODES
     moving: bool = False
     seed: int = 0
 
@@ -163,7 +165,7 @@ def select_shift(mode, lam, num_locked, floor=0.0):
     locked, ``floor``, a lower bound on the spectrum (``_spectrum_floor``),
     or 10% below the lowest Ritz value when that is negative.  Mode "none"
     always returns 0."""
-    if mode not in ("dynamic", "none"):
+    if mode not in _SHIFT_MODES:
         raise InvalidShape(f"unknown shift mode {mode!r}")
     if mode == "none":
         return 0.0
@@ -245,39 +247,24 @@ def _count_converged(a, b_op, basis, dec, limit, chunk, tol):
     return count, 0.0
 
 
-def _build_p(coeffs, num_x_rows, group_start, group_width):
-    """Momentum coefficients: the active group of the new Ritz coefficients
-    with the X rows zeroed, deflated against all of them, orthonormalized.
-    Returns None when nothing independent is left (always at the first
-    iteration, where the coefficient matrix is square and orthogonal)."""
-    m = coeffs.shape[0]
-    if group_width <= 0 or m <= num_x_rows:
+def _build_p(full, d, group_start, group_width):
+    """Momentum coefficients ``phat`` and their coupling ``phat' Abar phat``:
+    the group's Ritz coefficients with the X rows zeroed, projected off the
+    Ritz block ``Y[:, :d]`` and orthonormalized.  ``F = Y[:, d:]`` spans the
+    complement and is orthogonal to the group, so the projection is ``F S``
+    with ``S = -F[:d]' Y[:d, group]``; ``phat = F U`` for S's left singular
+    vectors ``U`` above the dependence floor, and ``F' Abar F`` is diagonal.
+    None when nothing is left, as at the first iteration, where ``d = m``."""
+    y = full.vectors
+    if y.shape[0] <= d:
         return None
-    pt = coeffs[:, group_start : group_start + group_width].copy()
-    pt[:num_x_rows, :] = 0.0
-    for _ in range(2):
-        pt -= coeffs @ (coeffs.T @ pt)
-    g = pt.T @ pt
-    dec = gram_svd((g + g.T) / 2.0)
-    floor = DEPENDENCE_TOL * max(float(dec.values.max(initial=0.0)), 0.0)
-    bad = int(np.searchsorted(dec.values, floor, side="right"))
-    if bad >= group_width:
+    s = -y[:d, d:].T @ y[:d, group_start : group_start + group_width]
+    u, sig, _ = np.linalg.svd(s, full_matrices=False)
+    # DEPENDENCE_TOL is a floor on Gram eigenvalues, which are sig**2
+    u = u[:, sig > math.sqrt(DEPENDENCE_TOL) * sig.max(initial=0.0)]
+    if not u.shape[1]:
         return None
-    q = pt @ (dec.vectors[:, bad:] / np.sqrt(dec.values[bad:]))
-    # Columns kept just above the dependence floor get rescaled by huge
-    # factors, which amplifies rounding residue from the deflation into
-    # O(DEPENDENCE_TOL**-0.5)-level cross terms and norm errors.  One more
-    # deflate+normalize pass at unit scale pins the group at rounding level;
-    # the coarse floor here drops columns that were mostly residue (a genuine
-    # new direction re-enters this Gram with eigenvalue close to 1).
-    q -= coeffs @ (coeffs.T @ q)
-    g = q.T @ q
-    dec = gram_svd((g + g.T) / 2.0)
-    floor = 1e-4 * max(float(dec.values.max(initial=0.0)), 0.0)
-    bad = int(np.searchsorted(dec.values, floor, side="right"))
-    if bad >= q.shape[1]:
-        return None
-    return q @ (dec.vectors[:, bad:] / np.sqrt(dec.values[bad:]))
+    return y[:, d:] @ u, (u.T * full.values[d:]) @ u
 
 
 def _starting_block(v, sx, b_op, seed):
@@ -443,17 +430,20 @@ def _slide(win, full, basis, newly, bs, n, b_op, seed):
     return red
 
 
-def _lock_and_momentum(win, basis, abar, dec, c, group):
-    """Lock the converged prefix of the new Ritz block and build the
-    momentum block P from the coefficients of the next ``group`` columns;
-    X and P are written in one rotation of the basis."""
-    phat = _build_p(dec.vectors, win.sx - win.locked, c - win.locked, group)
-    win.np_ = 0 if phat is None else phat.shape[1]
-    blocks = [dec.vectors]
-    if win.np_:
-        win.p_coupling = phat.T @ (abar @ phat)
+def _lock_and_momentum(win, basis, full, c, group):
+    """Lock the converged prefix of the Ritz block, the leading ``sx -
+    locked`` columns of the projected spectrum ``full``, and build P in
+    closed form from the rest of it (``_build_p``); X and P are written in
+    one rotation of the basis."""
+    d = win.sx - win.locked
+    blocks = [full.vectors[:, :d]]
+    built = _build_p(full, d, c - win.locked, group)
+    win.np_ = 0
+    if built is not None:
+        phat, win.p_coupling = built
+        win.np_ = phat.shape[1]
         blocks.append(phat)
-    win.lock(basis, dec.values, c, *blocks)
+    win.lock(basis, full.values[:d], c, *blocks)
 
 
 def _precond(win, a, b_op):
@@ -546,6 +536,8 @@ def gcg_solve(a, b=None, config=None):
         raise InvalidShape(f"cg_rel_tol must be at least 0, got {cfg.cg_rel_tol}")
     if cfg.seed < 0:
         raise InvalidShape(f"seed must be at least 0, got {cfg.seed}")
+    if cfg.shift_mode not in _SHIFT_MODES:
+        raise InvalidShape(f"unknown shift mode {cfg.shift_mode!r}")
     ne = int(cfg.num_eigen)
     bs, sx = resolve_block_sizes(cfg, n)
     floor = _spectrum_floor(a, b_op)
@@ -572,6 +564,7 @@ def gcg_solve(a, b=None, config=None):
         # the whole spectrum: the Ritz block is its leading columns, and a
         # slide keeps the rest as the next window
         full = sym_eig_full(abar)
+        del abar
         d = win.sx - win.locked
         dec = SpectralDecomposition(full.values[:d], full.vectors[:, :d])
         timer.lap("t_step3")
@@ -609,8 +602,8 @@ def gcg_solve(a, b=None, config=None):
         rec.theta = select_shift(cfg.shift_mode, win.lam, win.locked, floor)
         width = max(1, min(bs, ne - c, win.sx - c))
         if not slide:
-            _lock_and_momentum(win, basis, abar, dec, c, width)
-        del abar, full, dec   # v holds what the next pass needs: free them before CG
+            _lock_and_momentum(win, basis, full, c, width)
+        del full, dec   # v holds what the next pass needs: free them before CG
         if win.ritz:   # else the refilled window is projected afresh first
             timer.lap("t_step5")
             # W never reaches past the dimension the stored pairs, X and P leave

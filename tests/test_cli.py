@@ -1,5 +1,6 @@
 """Exit codes, output files, and flag plumbing of the command-line front end."""
 
+import dataclasses
 import json
 import math
 
@@ -12,9 +13,11 @@ from gcgeig.cli import (
     EXIT_ERROR,
     EXIT_MAX_ITERATIONS,
     EXIT_USAGE,
+    build_parser,
     run_cli,
 )
 from gcgeig.io import HISTORY_COLUMNS
+from gcgeig.solver import SolverConfig
 
 
 def test_builtin_laplacian_converges_with_analytic_values(capsys):
@@ -211,3 +214,20 @@ def test_resolved_config_is_recorded(capsys):
     assert cfg["size_x"] == 7 + 3 * 2
     assert cfg["shift"] == "dynamic"
     assert cfg["moving"] is False
+
+
+def test_flag_defaults_are_the_solver_defaults():
+    args = build_parser().parse_args(["--builtin", "laplacian1d"])
+    resolved = {
+        "num_eigen": args.num_eigen,
+        "tol": args.tol,
+        "block_size": args.block_size,
+        "max_gcg_iters": args.max_iters,
+        "cg_max_iters": args.cg_max_iters,
+        "cg_rel_tol": args.cg_rel_tol,
+        "shift_mode": args.shift,
+        "moving": args.moving == "on",
+        "seed": args.seed,
+    }
+    # every field, so a new one without a flag fails here too
+    assert resolved == dataclasses.asdict(SolverConfig())

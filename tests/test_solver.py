@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.stats
 
 import gcgeig.operators
 import gcgeig.solver
 from gcgeig import LinearOperator, RunRecord, SolverConfig, gcg_solve, generate_builtin
 from gcgeig.cli import run_cli
+from gcgeig.dense import sym_eig_full
 from gcgeig.errors import InvalidMatrix, InvalidShape
 from gcgeig.solver import _build_p, moving_memory_budget, resolve_block_sizes, select_shift
 
@@ -146,10 +148,12 @@ def test_moving_generalized_window_at_the_end_of_the_spectrum():
 
 def test_phases_call_the_kernels_through_module_names(monkeypatch):
     # perfbench/tracing.py swaps these names in gcgeig.solver; a phase
-    # that moves out of the module or binds one early escapes it
+    # that moves out of the module or binds one early escapes it.  It also
+    # swaps gram_svd and sym_eig_range, which the solver no longer calls, so
+    # they must still resolve there
+    assert callable(gcgeig.solver.gram_svd) and callable(gcgeig.solver.sym_eig_range)
     names = (
-        "block_cg", "orth_against", "recursive_orth_svd", "sym_eig_full",
-        "gram_svd", "mv_inner_prod",
+        "block_cg", "orth_against", "recursive_orth_svd", "sym_eig_full", "mv_inner_prod",
     )
     counts = dict.fromkeys(names, 0)
 
@@ -216,6 +220,22 @@ def test_argument_validation():
             gcg_solve(a, config=SolverConfig(num_eigen=2, cg_rel_tol=rel))
     with pytest.raises(InvalidShape, match="seed must be at least 0"):
         gcg_solve(a, config=SolverConfig(num_eigen=2, seed=-1))
+
+
+def test_unknown_shift_mode_rejected_before_any_apply():
+    class Counting(LinearOperator):
+        applies = 0
+
+        def apply(self, x, out=None):
+            Counting.applies += 1
+            if out is None:
+                return x.copy()
+            out[...] = x
+            return out
+
+    with pytest.raises(InvalidShape, match="unknown shift mode 'bogus'"):
+        gcg_solve(Counting(10), config=SolverConfig(num_eigen=2, shift_mode="bogus"))
+    assert Counting.applies == 0
 
 
 def test_history_bookkeeping():
@@ -300,19 +320,63 @@ def test_indefinite_lowest_pair_converges_before_anything_locks():
     assert abs(rep.eigenvalues[0] - ref) <= 1e-8 * max(1.0, abs(ref))
 
 
+def _spectrum_with_vectors(y, seed):
+    """The symmetric matrix with eigenvectors ``y``, in order, for random
+    ascending eigenvalues."""
+    vals = np.sort(np.random.default_rng(seed).uniform(-2, 3, y.shape[0]))
+    abar = (y * vals) @ y.T
+    return (abar + abar.T) / 2.0
+
+
+def _check_momentum_block(abar, d, start, width):
+    full = sym_eig_full(abar)
+    y = full.vectors
+    phat, coupling = _build_p(full, d, start, width)
+    k = phat.shape[1]
+    assert np.abs(phat.T @ phat - np.eye(k)).max() <= 1e-14
+    assert np.abs(y[:, :d].T @ phat).max() <= 1e-14
+    assert np.abs(coupling - phat.T @ abar @ phat).max() <= 1e-12 * np.linalg.norm(abar, 2)
+    # the definition: the group with the X rows zeroed, minus its projection
+    # on the Ritz block
+    pt = y[:, start : start + width].copy()
+    pt[:d] = 0.0
+    pt -= y[:, :d] @ (y[:, :d].T @ pt)
+    assert np.linalg.matrix_rank(pt) == k
+    assert scipy.linalg.subspace_angles(pt, phat).max() <= 1e-10
+    return full, phat
+
+
 def test_momentum_block_empty_on_square_coefficients():
-    rng = np.random.default_rng(16)
-    q = np.linalg.qr(rng.uniform(-1, 1, (6, 6)))[0]
-    assert _build_p(q, 6, 0, 2) is None
+    abar = random_sym(6, 16)
+    assert _build_p(sym_eig_full(abar), 6, 0, 2) is None
+    # a group whose X rows have no part outside the Ritz block
+    q = scipy.linalg.block_diag(scipy.stats.ortho_group.rvs(6, random_state=16), np.eye(3))
+    assert _build_p(sym_eig_full(_spectrum_with_vectors(q, 16)), 6, 1, 2) is None
 
 
 def test_momentum_block_is_orthonormal_and_deflated():
-    rng = np.random.default_rng(17)
-    q = np.linalg.qr(rng.uniform(-1, 1, (9, 6)))[0]  # tall: 3 extra rows
-    phat = _build_p(q, 6, 1, 2)
+    _, phat = _check_momentum_block(random_sym(9, 17), 6, 1, 2)   # 3 extra rows
     assert phat.shape == (9, 2)
-    assert np.abs(phat.T @ phat - np.eye(2)).max() <= 1e-12
-    assert np.abs(q.T @ phat).max() <= 1e-12
+
+
+def test_momentum_block_keeps_an_ill_conditioned_group():
+    # rotate two X columns into the complement by angles 0.3 and 3e-5, so the
+    # group's coordinates outside the Ritz block have sigma_min/sigma_max
+    # about 1e-4; a rotation of the X rows and of the others keeps them
+    d, m, start = 6, 10, 2
+    k = np.zeros((m, m))
+    k[[start, start + 1], [d, d + 1]] = 0.3, 3e-5
+    k -= k.T
+    rows = scipy.linalg.block_diag(
+        scipy.stats.ortho_group.rvs(d, random_state=3),
+        scipy.stats.ortho_group.rvs(m - d, random_state=4),
+    )
+    abar = _spectrum_with_vectors(rows @ scipy.linalg.expm(k), 5)
+    full, phat = _check_momentum_block(abar, d, start, 2)
+    y = full.vectors
+    sig = np.linalg.svd(y[:d, d:].T @ y[:d, start : start + 2], compute_uv=False)
+    assert 1e-5 < sig[-1] / sig[0] < 1e-3
+    assert phat.shape == (m, 2)
 
 
 def test_moving_memory_budget_value():

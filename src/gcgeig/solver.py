@@ -11,7 +11,8 @@ spanned by ``[X, P, W]``:
   out of span(X), built purely in coefficient space, in closed form from
   the Rayleigh-Ritz eigenvectors past the Ritz block (``_build_p``).
 * W is a damped inverse power update: a few CG sweeps on
-  ``(A - theta*B) W = B X (Lambda - theta)`` started from X.  The
+  ``(A - theta*B) W = B X (Lambda - theta)`` started from X, of which the
+  basis keeps the correction ``W - X`` (``_damp``).  The
   "dynamic" theta is the largest converged eigenvalue so far; before any
   converges it is a floor under the spectrum (``_spectrum_floor``), or 10%
   below the lowest Ritz value when that is negative, so an indefinite A
@@ -477,7 +478,10 @@ def _precond(win, a, b_op):
 def _damp(win, a, b_op, width, theta, cfg):
     """The damped inverse power block: a few CG sweeps on
     ``(A - theta*B) W = B X (Lambda - theta)`` started from the active X,
-    preconditioned by ``_precond``, written into the W slot.  Returns the CG
+    preconditioned by ``_precond``.  The W slot gets the correction ``W -
+    X``: it spans the same ``[X, P, W]``, and loses less of its norm to the
+    deflation against X than W does, so ``orth_against`` repeats its
+    deflation pass, and runs its post pass, less often.  Returns the CG
     report."""
     lo = win.locked
     x_act = np.asfortranarray(win.v[:, lo : lo + width])
@@ -492,7 +496,7 @@ def _damp(win, a, b_op, width, theta, cfg):
         precond=_precond(win, a, b_op),
     )
     start = win.sx + win.np_
-    win.v[:, start : start + width] = w
+    np.subtract(w, x_act, out=win.v[:, start : start + width])
     return rep
 
 

@@ -227,3 +227,102 @@ def test_orth_against_empty_basis_is_plain_orth():
     out = orth_against(x, np.zeros((25, 0), order="F"))
     assert out.num_kept == 5
     assert gram_defect(x) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# orth_against: the deflation's relative exit and the conditional post pass
+# ---------------------------------------------------------------------------
+
+
+def joint_defect(basis, kept, b=None):
+    return gram_defect(np.hstack([basis, kept]), b)
+
+
+@pytest.mark.parametrize("near", [False, True], ids=["far", "near"])
+@pytest.mark.parametrize("use_b", [False, True], ids=["plain", "B"])
+def test_orth_against_is_scale_invariant(use_b, near):
+    # the early exit compares coefficients with their column's B-norm: a
+    # tiny block is deflated as fully as a unit one, also when most of it
+    # lies in span(basis) and the first pass cancels
+    b = spd_tridiag(60) if use_b else None
+    basis = random_block(60, 5, seed=61)
+    recursive_orth_svd(basis, b=b)
+    x = random_block(60, 4, seed=62)
+    if near:
+        x = np.asfortranarray(basis @ random_block(5, 4, seed=63) + 1e-6 * x)
+    results = []
+    for scale in (1.0, 1e-12):
+        xs = np.asfortranarray(scale * x)
+        out = orth_against(xs, basis, b=b)
+        results.append(xs[:, : out.num_kept])
+        assert out.num_kept == 4
+        assert joint_defect(basis, xs[:, : out.num_kept], b) <= 1e-12
+    # the same columns: the two kept blocks span the same space
+    cross = bgram(np.hstack([results[0], results[1]]), b)[:4, 4:]
+    assert np.allclose(np.linalg.svd(cross, compute_uv=False), 1.0, atol=1e-10)
+
+
+def spy_orth_against(monkeypatch, basis):
+    """Record the reductions each call of ``orth_against`` spends on passes
+    over ``basis`` and in the recursive orthonormalization."""
+    seen = {"basis": 0, "recursion": 0}
+    deflate, orthonormalize = gcgeig.orth._deflate_against, gcgeig.orth._orthonormalize
+
+    def spy_deflate(ctx, against, lo, hi):
+        before = ctx.reductions
+        share = deflate(ctx, against, lo, hi)
+        if against is basis:
+            seen["basis"] += ctx.reductions - before
+        return share
+
+    def spy_orthonormalize(ctx, lo, hi):
+        before = ctx.reductions
+        orthonormalize(ctx, lo, hi)
+        seen["recursion"] += ctx.reductions - before
+
+    monkeypatch.setattr(gcgeig.orth, "_deflate_against", spy_deflate)
+    monkeypatch.setattr(gcgeig.orth, "_orthonormalize", spy_orthonormalize)
+    return seen
+
+
+def test_block_far_from_basis_takes_one_pass(monkeypatch):
+    basis = random_block(200, 6, seed=71)
+    recursive_orth_svd(basis)
+    x = random_block(200, 8, seed=72)
+    seen = spy_orth_against(monkeypatch, basis)
+    out = orth_against(x, basis)
+    assert seen["basis"] == 1
+    assert out.reduction_count == 1 + seen["recursion"]
+    assert out.num_kept == 8
+    assert joint_defect(basis, x) <= 1e-12
+
+
+def test_block_near_basis_takes_the_repeat_and_the_post_pass(monkeypatch):
+    basis = random_block(200, 6, seed=73)
+    recursive_orth_svd(basis)
+    rng = np.random.default_rng(74)
+    x = np.asfortranarray(basis @ rng.uniform(-1, 1, (6, 4)) + 1e-3 * random_block(200, 4, seed=75))
+    seen = spy_orth_against(monkeypatch, basis)
+    out = orth_against(x, basis)
+    # two pre-deflation passes, then one at unit scale after the recursion
+    assert seen["basis"] == 3
+    assert out.reduction_count > 3 + seen["recursion"]
+    assert out.num_kept == 4
+    assert joint_defect(basis, x) <= 1e-12
+
+
+@pytest.mark.parametrize("width", [4, 16], ids=["one-leaf", "split"])
+@pytest.mark.parametrize("use_b", [False, True], ids=["plain", "B"])
+def test_near_collinear_block_far_from_basis_stays_deflated(use_b, width):
+    # x = [u, u + 1e-4 v]: one pass leaves each column rounding-level basis
+    # residue, and normalizing the difference scales it up by 1e4, inside a
+    # leaf (width 4) or across the recursion's split (width 16).  Without a
+    # second pass the joint defect reads 6e-13 to 9e-13; with it, 6e-15.
+    b = spd_tridiag(300) if use_b else None
+    basis = random_block(300, 30, seed=81)
+    recursive_orth_svd(basis, b=b)
+    u = random_block(300, width, seed=82)
+    x = np.asfortranarray(np.hstack([u, u + 1e-4 * random_block(300, width, seed=83)]))
+    out = orth_against(x, basis, b=b)
+    assert out.num_kept == 2 * width
+    assert joint_defect(basis, x, b) <= 1e-13

@@ -7,8 +7,11 @@ converges or freezes, a stable partition moves it behind the prefix once,
 so every sweep works on contiguous views, and the caller's column order is
 restored on return.  The caller is expected to pass a shifted combination
 ``A - theta*B``; directions with a nonpositive curvature
-``p' (A - theta*B) p`` are frozen at their current iterate instead of being
-updated further.
+``p' (A - theta*B) p`` are frozen instead of being updated further.  A
+frozen column stops at its current iterate or, when the caller hands over a
+``best`` store, at the iterate with the smallest residual it reached: on a
+``theta`` that sits on an eigenvalue the sweep before the freeze can take a
+huge step along a tiny positive curvature and overshoot.
 """
 
 from __future__ import annotations
@@ -34,11 +37,18 @@ def _col_dots(x, y):
     return np.einsum("ij,ij->j", x, y)
 
 
-def block_cg(op, rhs, x0=None, max_iters=30, rel_tol=0.01, precond=None):
+def block_cg(op, rhs, x0=None, max_iters=30, rel_tol=0.01, precond=None, best=None):
     """Return (solution, :class:`CgReport`).
 
     Each column stops once its residual drops below ``rel_tol`` times its
-    starting residual, or after ``max_iters`` sweeps.  ``precond``, when
+    starting residual, after ``max_iters`` sweeps, or on a nonpositive
+    curvature, where it freezes.  ``best``, when given, is an n-by-k array
+    that the solve may overwrite: a column whose residual rises above the
+    smallest it has reached saves, in its own column of ``best``, the
+    iterate that reached it, and if the column then freezes before it gets
+    below that residual again it returns the saved iterate, with that
+    residual in the report.  Columns that never rise, or never freeze, end
+    as they would without ``best``.  ``precond``, when
     given, is called as ``precond(r, out)``: it writes the preconditioned
     residual block ``r`` into ``out``, a same-shape F-order block of a work
     array held for the whole solve, and leaves ``r`` alone.  The solver
@@ -84,6 +94,10 @@ def block_cg(op, rhs, x0=None, max_iters=30, rel_tol=0.01, precond=None):
     rn = rn0.copy()
     stopped = rn0 <= target       # zero-residual columns are done at once
     frozen = np.zeros(k, dtype=bool)
+    # smallest residual so far, and whether x still holds the iterate that
+    # reached it (else it is saved in best[:, perm[i]])
+    rn_best = rn0.copy()
+    at_best = np.ones(k, dtype=bool)
 
     def retire(na, leaving):
         """Stable-partition the prefix [:na] so that the columns flagged in
@@ -92,7 +106,7 @@ def block_cg(op, rhs, x0=None, max_iters=30, rel_tol=0.01, precond=None):
         order = np.concatenate((keep, np.flatnonzero(leaving)))
         m = keep.size
         x[:, :na] = x[:, order]
-        for vec in (perm, target, rn, rz, stopped, frozen):
+        for vec in (perm, target, rn, rz, stopped, frozen, rn_best, at_best):
             vec[:na] = vec[order]
         for work in (r, p, q):
             work[:, :m] = work[:, keep]
@@ -109,6 +123,10 @@ def block_cg(op, rhs, x0=None, max_iters=30, rel_tol=0.01, precond=None):
         den = _col_dots(pa, qa)
         bad = den <= 0.0
         if bad.any():
+            if best is not None:
+                for i in np.flatnonzero(bad & ~at_best[:na]):
+                    x[:, i] = best[:, perm[i]]
+                    rn[i] = rn_best[i]
             frozen[:na] = bad
             stopped[:na] = bad
             den = den[~bad]
@@ -117,11 +135,17 @@ def block_cg(op, rhs, x0=None, max_iters=30, rel_tol=0.01, precond=None):
                 continue
             pa, qa = p[:, :na], q[:, :na]
         alpha = rz[:na] / den
-        x[:, :na] += pa * alpha
         ra = r[:, :na]
         ra -= qa * alpha
         rr = _col_dots(ra, ra)
         rn[:na] = np.sqrt(rr)
+        if best is not None:
+            rise = rn[:na] > rn_best[:na]
+            for i in np.flatnonzero(rise & at_best[:na]):
+                best[:, perm[i]] = x[:, i]   # the iterate before this sweep
+            at_best[:na] = ~rise
+            np.minimum(rn_best[:na], rn[:na], out=rn_best[:na])
+        x[:, :na] += pa * alpha
         done = rn[:na] <= target[:na]
         if done.any():
             stopped[:na] = done

@@ -12,7 +12,9 @@ spanned by ``[X, P, W]``:
   the Rayleigh-Ritz eigenvectors past the Ritz block (``_build_p``).
 * W is a damped inverse power update: a few CG sweeps on
   ``(A - theta*B) W = B X (Lambda - theta)`` started from X, of which the
-  basis keeps the correction ``W - X`` (``_damp``).  The
+  basis keeps the correction ``W - X`` (``_damp``).  Once a pair is locked,
+  a CG column that freezes on a nonpositive curvature returns the iterate
+  with its smallest residual, not the overshoot of its last step.  The
   "dynamic" theta is the largest converged eigenvalue so far; before any
   converges it is a floor under the spectrum (``_spectrum_floor``), or 10%
   below the lowest Ritz value when that is negative, so an indefinite A
@@ -481,8 +483,16 @@ def _damp(win, a, b_op, width, theta, cfg):
     preconditioned by ``_precond``.  The W slot gets the correction ``W -
     X``: it spans the same ``[X, P, W]``, and loses less of its norm to the
     deflation against X than W does, so ``orth_against`` repeats its
-    deflation pass, and runs its post pass, less often.  Returns the CG
-    report."""
+    deflation pass, and runs its post pass, less often.
+
+    Once a pair is locked, the dynamic theta is a locked eigenvalue, so
+    ``A - theta*B`` is singular on its eigenvector and negative on the
+    locked ones below.  A column then often takes one huge step along a
+    tiny positive curvature before it freezes, and its correction would
+    be mostly basis.  So CG keeps each column's smallest-residual iterate
+    in the W slot, free until CG returns, and a frozen column returns it.
+    Before anything locks the rule stays off: there a negative curvature
+    can point to the wanted pair.  Returns the CG report."""
     lo = win.locked
     x_act = np.asfortranarray(win.v[:, lo : lo + width])
     bx_act = b_op.apply(x_act) if b_op is not None else x_act
@@ -491,12 +501,14 @@ def _damp(win, a, b_op, width, theta, cfg):
         win.shift_op = None   # free the old assembled matrix first
         win.shift_op = a if theta == 0.0 else ShiftedOperator(a, b_op, theta)
         win.shift_theta = theta
+    start = win.sx + win.np_
+    w_slot = win.v[:, start : start + width]
+    on_locked = cfg.shift_mode == "dynamic" and win.locked > 0
     w, rep = block_cg(
         win.shift_op, rhs, x0=x_act, max_iters=cfg.cg_max_iters, rel_tol=cfg.cg_rel_tol,
-        precond=_precond(win, a, b_op),
+        precond=_precond(win, a, b_op), best=w_slot if on_locked else None,
     )
-    start = win.sx + win.np_
-    np.subtract(w, x_act, out=win.v[:, start : start + width])
+    np.subtract(w, x_act, out=w_slot)
     return rep
 
 

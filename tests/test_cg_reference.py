@@ -20,7 +20,8 @@ def _col_dots(x, y):
     return np.einsum("ij,ij->j", x, y)
 
 
-def reference_block_cg(op, rhs, x0=None, max_iters=30, rel_tol=0.01, precond=None):
+def reference_block_cg(op, rhs, x0=None, max_iters=30, rel_tol=0.01, precond=None,
+                       keep_best=False):
     rhs = np.asfortranarray(rhs, dtype=np.float64)
     n, k = rhs.shape
     if x0 is None:
@@ -35,6 +36,8 @@ def reference_block_cg(op, rhs, x0=None, max_iters=30, rel_tol=0.01, precond=Non
     converged = rn0 <= target
     frozen = np.zeros(k, dtype=bool)
     rn = rn0.copy()
+    # keep_best: each column's smallest residual so far and its iterate
+    rn_best, x_best = rn0.copy(), x.copy()
 
     z = precond(r) if precond is not None else r.copy()
     p = z.copy()
@@ -51,6 +54,10 @@ def reference_block_cg(op, rhs, x0=None, max_iters=30, rel_tol=0.01, precond=Non
         den = _col_dots(pb, qb)
         bad = den <= 0.0
         if np.any(bad):
+            if keep_best:
+                back = idx[bad & (rn[idx] > rn_best[idx])]
+                x[:, back] = x_best[:, back]
+                rn[back] = rn_best[back]
             frozen[idx[bad]] = True
             idx = idx[~bad]
             if idx.size == 0:
@@ -62,6 +69,10 @@ def reference_block_cg(op, rhs, x0=None, max_iters=30, rel_tol=0.01, precond=Non
         x[:, idx] += pb * alpha
         r[:, idx] -= qb * alpha
         rn[idx] = np.sqrt(_col_dots(r[:, idx], r[:, idx]))
+        if keep_best:
+            new_best = idx[rn[idx] <= rn_best[idx]]
+            rn_best[new_best] = rn[new_best]
+            x_best[:, new_best] = x[:, new_best]
         done = rn[idx] <= target[idx]
         converged[idx[done]] = True
         idx = idx[~done]
@@ -136,6 +147,34 @@ def test_bit_identical_on_the_solver_path(seed):
     np.testing.assert_array_equal(x, x_ref)
     np.testing.assert_array_equal(rep.relative_residuals, ref.relative_residuals)
     assert x.flags.f_contiguous
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_frozen_columns_keep_their_best_iterate(seed):
+    """With a ``best`` store, a frozen column returns the iterate with its
+    smallest residual, bit for bit with a reference that copies every
+    column's iterate whenever it reaches a new smallest residual."""
+    op, rhs, x0, max_iters, rel_tol = _case(seed)
+    kw = dict(x0=x0, max_iters=max_iters, rel_tol=rel_tol)
+    x, rep = block_cg(op, rhs, best=np.empty_like(rhs), **kw)
+    x_ref, ref = reference_block_cg(op, rhs, keep_best=True, **kw)
+    _assert_same_outcome(rep, ref)
+    np.testing.assert_array_equal(x, x_ref)
+    np.testing.assert_array_equal(rep.relative_residuals, ref.relative_residuals)
+    assert x.flags.f_contiguous
+
+
+def test_battery_freezes_columns_past_their_best_iterate():
+    """Enough seeded cases freeze a column after its residual rose, so the
+    test above compares restored iterates and not only untouched ones."""
+    restored = 0
+    for seed in range(120):
+        op, rhs, x0, max_iters, rel_tol = _case(seed)
+        kw = dict(x0=x0, max_iters=max_iters, rel_tol=rel_tol)
+        x_off, _ = block_cg(op, rhs, **kw)
+        x_on, rep = block_cg(op, rhs, best=np.empty_like(rhs), **kw)
+        restored += bool((rep.frozen & (x_on != x_off).any(axis=0)).any())
+    assert restored >= 20
 
 
 def _jacobi(op):

@@ -480,6 +480,36 @@ def test_wide_solve_peaks_below_twice_its_basis_array():
     assert peak < 2.0 * v_bytes
 
 
+def test_moving_solve_peaks_below_twice_its_basis_array():
+    """The moving twin of the test above: the basis array ``v`` is n x (ne
+    + 4*bs) doubles.  The frozen CG columns' best iterates are kept in the
+    W slot of ``v``, not in a block of their own; this solve measures 1.92
+    times ``v`` (2.03 with a separate n-by-bs block for them)."""
+    n, ne = 1500, 150
+    a, _ = generate_builtin("clustered-random", n, seed=1)
+    cfg = SolverConfig(num_eigen=ne, seed=1, moving=True)
+    bs, _ = resolve_block_sizes(cfg, n)
+    v_bytes = n * (ne + 4 * bs) * 8
+    tracemalloc.start()
+    try:
+        rep = gcg_solve(a, config=cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.status == "converged"
+    assert peak < 2.0 * v_bytes
+
+
+def test_fem_cg_solve_freezes_no_cg_column():
+    """On the benchmark's fem-cg problem no inner CG column meets a
+    nonpositive curvature, so keeping the best iterate of frozen columns
+    leaves this solve as it was."""
+    a, b = generate_builtin("fem1d-p1", 3000, seed=1)
+    rep = gcg_solve(a, b, SolverConfig(num_eigen=10, seed=1))
+    assert rep.status == "converged"
+    assert [r.cg_frozen for r in rep.history] == [0] * rep.iterations
+
+
 def test_linear_operator_subclass_is_solved():
     """The extension path the README documents: subclass LinearOperator,
     pass the dimension to its constructor and implement apply(x, out=None)."""

@@ -11,7 +11,16 @@ restored on return.  The caller is expected to pass a shifted combination
 frozen column stops at its current iterate or, when the caller hands over a
 ``best`` store, at the iterate with the smallest residual it reached: on a
 ``theta`` that sits on an eigenvalue the sweep before the freeze can take a
-huge step along a tiny positive curvature and overshoot.
+huge step along a tiny positive curvature and overshoot.  From a zero
+start, a frozen column whose returned iterate would be that zero start
+returns its first preconditioned residual instead, so it still offers a
+direction.
+
+The arithmetic runs in the precision of ``rhs``: float32 when ``rhs`` is
+float32, float64 otherwise.  The solver hands over float32 only where the
+Gershgorin bounds of the problem make single precision safe (README,
+"Inner solves"); a float32 solve also freezes a column whose curvature is
+at or below a floor the caller gives, the rounding level of its operator.
 """
 
 from __future__ import annotations
@@ -37,7 +46,8 @@ def _col_dots(x, y):
     return np.einsum("ij,ij->j", x, y)
 
 
-def block_cg(op, rhs, x0=None, max_iters=30, rel_tol=0.01, precond=None, best=None):
+def block_cg(op, rhs, x0=None, max_iters=30, rel_tol=0.01, precond=None, best=None,
+             curvature_floor=0.0):
     """Return (solution, :class:`CgReport`).
 
     Each column stops once its residual drops below ``rel_tol`` times its
@@ -58,19 +68,21 @@ def block_cg(op, rhs, x0=None, max_iters=30, rel_tol=0.01, precond=None, best=No
     of it) or a scaling by ``1 / diag(A)``.  Without ``precond`` the sweeps
     are plain CG.
     """
-    rhs = np.asfortranarray(rhs, dtype=np.float64)
+    rhs = np.asfortranarray(rhs)
+    dtype = np.float32 if rhs.dtype == np.float32 else np.float64
+    rhs = rhs.astype(dtype, copy=False)
     if rhs.ndim != 2:
         raise InvalidShape(f"rhs must be 2-d, got shape {rhs.shape}")
     n, k = rhs.shape
     if op.dim != n:
         raise InvalidShape(f"operator dim {op.dim} != rhs dim {n}")
     if x0 is None:
-        x = np.zeros((n, k), order="F")
+        x = np.zeros((n, k), dtype, order="F")
         r = rhs.copy(order="F")
     else:
         if x0.shape != rhs.shape:
             raise InvalidShape(f"x0 shape {x0.shape} != rhs shape {rhs.shape}")
-        x = np.array(x0, dtype=np.float64, order="F")
+        x = np.array(x0, dtype=dtype, order="F")
         r = rhs - op.apply(x)
 
     rn0 = np.sqrt(_col_dots(r, r))
@@ -81,11 +93,11 @@ def block_cg(op, rhs, x0=None, max_iters=30, rel_tol=0.01, precond=None, best=No
     if precond is None:
         z = r.copy()
     else:
-        z = np.empty((n, k), order="F")
+        z = np.empty((n, k), dtype, order="F")
         precond(r, z)
     rz = _col_dots(r, z)
-    p = np.array(z, dtype=np.float64, order="F")
-    q = np.empty((n, k), order="F")
+    p = np.array(z, dtype=dtype, order="F")
+    q = np.empty((n, k), dtype, order="F")
 
     # Per-position state: position i of the work arrays holds column
     # perm[i] of the caller's block; positions [0, na) are still active.
@@ -118,15 +130,20 @@ def block_cg(op, rhs, x0=None, max_iters=30, rel_tol=0.01, precond=None, best=No
         if na == 0:
             break
         sweeps += 1
+        # from a zero start, x is still that start at the first sweep, where
+        # p is the first preconditioned residual z0
+        first = x0 is None and sweeps == 1
         pa, qa = p[:, :na], q[:, :na]
         op.apply(pa, out=qa)
         den = _col_dots(pa, qa)
-        bad = den <= 0.0
+        bad = den <= (curvature_floor * _col_dots(pa, pa) if curvature_floor else 0.0)
         if bad.any():
             if best is not None:
                 for i in np.flatnonzero(bad & ~at_best[:na]):
                     x[:, i] = best[:, perm[i]]
                     rn[i] = rn_best[i]
+            if first:
+                x[:, :na][:, bad] = pa[:, bad]
             frozen[:na] = bad
             stopped[:na] = bad
             den = den[~bad]
@@ -142,7 +159,8 @@ def block_cg(op, rhs, x0=None, max_iters=30, rel_tol=0.01, precond=None, best=No
         if best is not None:
             rise = rn[:na] > rn_best[:na]
             for i in np.flatnonzero(rise & at_best[:na]):
-                best[:, perm[i]] = x[:, i]   # the iterate before this sweep
+                # the iterate before this sweep, or z0 for the zero start
+                best[:, perm[i]] = pa[:, i] if first else x[:, i]
             at_best[:na] = ~rise
             np.minimum(rn_best[:na], rn[:na], out=rn_best[:na])
         x[:, :na] += pa * alpha

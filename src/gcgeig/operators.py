@@ -177,13 +177,14 @@ class CsrOperator(LinearOperator):
             return None
         return lambda r: scipy.linalg.cho_solve_banded((factor, True), r, check_finite=False)
 
-    def diagonal_solver(self):
+    def diagonal_solver(self, dtype=np.float64):
         """A function ``f(r, out)`` that writes ``r / diag(A)`` into ``out``
-        for a block ``r``, or None when a diagonal entry is not positive."""
+        for a block ``r``, with ``1 / diag(A)`` held in ``dtype``, or None
+        when a diagonal entry is not positive."""
         d = self.diagonal()
         if not (d > 0.0).all():
             return None
-        inv = (1.0 / d)[:, None]
+        inv = (1.0 / d).astype(dtype)[:, None]
         return lambda r, out: np.multiply(r, inv, out=out)
 
     def gershgorin(self):
@@ -242,6 +243,10 @@ class ShiftedOperator(LinearOperator):
     so each apply is one sparse product instead of two plus an update.  Its
     products then differ from the two-product form by rounding only.  Every
     other combination applies A and B separately.
+
+    After ``assemble_single``, float32 blocks are applied with a float32
+    copy of the assembled combination; float64 blocks still take the
+    float64 products.
     """
 
     kind = "shifted-combination"
@@ -256,8 +261,21 @@ class ShiftedOperator(LinearOperator):
         self._assembled = None
         if self.theta != 0.0 and isinstance(a, CsrOperator) and isinstance(b, CsrOperator):
             self._assembled = CsrOperator._trusted(a._sp - self.theta * b._sp)
+        self._single = None
+
+    def assemble_single(self):
+        """Assemble ``A - theta*B``, or ``A - theta*I`` without B, in float32
+        for the float32 blocks; A must be CSR, and B CSR or None."""
+        if self._assembled is not None:
+            sp = self._assembled._sp
+        else:
+            b = scipy.sparse.identity(self.dim, format="csr") if self.b is None else self.b._sp
+            sp = self.a._sp - self.theta * b
+        self._single = CsrOperator._trusted(sp.astype(np.float32))
 
     def apply(self, x, out=None):
+        if self._single is not None and x.dtype == np.float32:
+            return self._single.apply(x, out=out)
         if self._assembled is not None:
             return self._assembled.apply(x, out=out)
         out = self.a.apply(x, out=out)

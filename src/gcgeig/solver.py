@@ -11,10 +11,15 @@ spanned by ``[X, P, W]``:
   out of span(X), built purely in coefficient space, in closed form from
   the Rayleigh-Ritz eigenvectors past the Ritz block (``_build_p``).
 * W is a damped inverse power update: a few CG sweeps on
-  ``(A - theta*B) W = B X (Lambda - theta)`` started from X, of which the
-  basis keeps the correction ``W - X`` (``_damp``).  Once a pair is locked,
-  a CG column that freezes on a nonpositive curvature returns the iterate
-  with its smallest residual, not the overshoot of its last step.  The
+  ``(A - theta*B) W = B X (Lambda - theta)``, run for the correction
+  ``W - X``, which the basis keeps, from zero against the residual ``-R =
+  B X Lambda - A X`` of X, taken in float64 (``_damp``).  The sweeps run in
+  float32 where the Gershgorin bounds of CSR matrices A and B prove it safe
+  (``_single_precision``), and in float64 otherwise.  Once a pair is
+  locked, a CG column that freezes on a nonpositive curvature returns the
+  iterate with its smallest residual, not the overshoot of its last step;
+  one that would return the zero start returns its first preconditioned
+  residual.  The
   "dynamic" theta is the largest converged eigenvalue so far; before any
   converges it is a floor under the spectrum (``_spectrum_floor``), or 10%
   below the lowest Ritz value when that is negative, so an indefinite A
@@ -89,6 +94,8 @@ _ROW_BLOCK = 512
 # The unstructured projection applies A to this many columns at a time
 # (``_project``), so its operands and product stay this wide.
 _CHUNK_COLS = 64
+# float32's unit roundoff
+_U32 = 2.0 ** -24
 
 
 @dataclass
@@ -195,6 +202,24 @@ def _spectrum_floor(a, b_op):
         return lo
     hi = b_op.gershgorin()[1]
     return lo / hi if hi > 0.0 else 0.0
+
+
+def _single_precision(a, b_op, rel_tol):
+    """The Gershgorin upper ends ``(hi_A, hi_B)`` when the inner CG may run
+    in float32, else None.  A must be a CSR matrix and B a CSR matrix or
+    None (taken as ``(lo_B, hi_B) = (1, 1)``), both Gershgorin intervals
+    must start above 0, and ``kappa_G = (hi_A / lo_A) * (hi_B / lo_B)``, a
+    bound on the condition of the pencil, must keep float32's rounding
+    amplified by it a hundred times below the inner tolerance:
+    ``kappa_G * 2**-24 <= rel_tol / 100`` (README, "Inner solves")."""
+    if not isinstance(a, CsrOperator) or not isinstance(b_op, (CsrOperator, type(None))):
+        return None
+    lo_a, hi_a = a.gershgorin()
+    lo_b, hi_b = (1.0, 1.0) if b_op is None else b_op.gershgorin()
+    if not (lo_a > 0.0 and lo_b > 0.0):
+        return None
+    kappa = (hi_a / lo_a) * (hi_b / lo_b)
+    return (hi_a, hi_b) if kappa * _U32 <= rel_tol / 100.0 else None
 
 
 def _rel_residual(ax_j, x_j, bx_j, lam_j, generalized):
@@ -343,7 +368,8 @@ class _Window:
     shift_theta: float | None = None
     a_solve: object = None              # A's band Cholesky solve, or None
     a_scale: object = None              # else its diagonal scaling, or None
-    a_solve_tried: bool = False         # both are built at the first damped step
+    single: tuple | None = None         # (hi_A, hi_B) when CG runs in float32
+    a_solve_tried: bool = False         # all three are set at the first damped step
 
     def deflation(self):
         """What W is kept B-orthogonal to: the stored pairs, X and P."""
@@ -449,7 +475,7 @@ def _lock_and_momentum(win, basis, full, c, group):
     win.lock(basis, full.values[:d], c, *blocks)
 
 
-def _precond(win, a, b_op):
+def _precond(win, a, b_op, rel_tol):
     """The inner CG's preconditioner, or None for plain CG.  A CSR matrix A
     gets its band Cholesky solve, when ``CsrOperator.band_solver`` builds
     one, followed by a B-orthogonal projection against the locked pairs, on
@@ -457,13 +483,17 @@ def _precond(win, a, b_op):
     the scaling by ``1 / diag(A)`` when ``CsrOperator.diagonal_solver``
     builds one, without the projection: the solves converge without it,
     and on the moving window, whose locked prefix holds the whole store,
-    it cost more than the scaling saved."""
+    it cost more than the scaling saved.  The scaling is float32 when
+    ``_single_precision`` admits the problem, which also sets
+    ``win.single``."""
     if not win.a_solve_tried:
         win.a_solve_tried = True
         if isinstance(a, CsrOperator):
             win.a_solve = a.band_solver()
             if win.a_solve is None:
-                win.a_scale = a.diagonal_solver()
+                win.single = _single_precision(a, b_op, rel_tol)
+                dtype = np.float64 if win.single is None else np.float32
+                win.a_scale = a.diagonal_solver(dtype)
     if win.a_solve is None:
         return win.a_scale
     solve, q = win.a_solve, win.v[:, : win.locked]
@@ -479,36 +509,65 @@ def _precond(win, a, b_op):
 
 def _damp(win, a, b_op, width, theta, cfg):
     """The damped inverse power block: a few CG sweeps on
-    ``(A - theta*B) W = B X (Lambda - theta)`` started from the active X,
-    preconditioned by ``_precond``.  The W slot gets the correction ``W -
-    X``: it spans the same ``[X, P, W]``, and loses less of its norm to the
-    deflation against X than W does, so ``orth_against`` repeats its
-    deflation pass, and runs its post pass, less often.
+    ``(A - theta*B) W = B X (Lambda - theta)`` for the active X,
+    preconditioned by ``_precond``, run for the correction ``W - X`` from
+    zero against X's residual ``B X (Lambda - theta) - (A - theta*B) X``,
+    taken in float64.  The W slot gets that correction: it spans the same
+    ``[X, P, W]``, and loses less of its norm to the deflation against X
+    than W does, so ``orth_against`` repeats its deflation pass, and runs
+    its post pass, less often.
+
+    When ``win.single`` is set the residual is rounded to float32 and CG
+    runs in float32, with ``A - theta*B`` assembled in float32; its
+    rounding then scales with the residual, not with X.  At ``theta`` on an
+    eigenvalue a float32 curvature can be pure rounding, and the step it
+    gives overflows, so a column freezes once its curvature is at or below
+    ``2**-24 * (hi_A + |theta| * hi_B)`` times ``p'p``, the rounding of
+    ``p' (A - theta*B) p``.  Orthogonalization, Rayleigh-Ritz and the
+    residual test stay float64.
 
     Once a pair is locked, the dynamic theta is a locked eigenvalue, so
     ``A - theta*B`` is singular on its eigenvector and negative on the
     locked ones below.  A column then often takes one huge step along a
     tiny positive curvature before it freezes, and its correction would
     be mostly basis.  So CG keeps each column's smallest-residual iterate
-    in the W slot, free until CG returns, and a frozen column returns it.
-    Before anything locks the rule stays off: there a negative curvature
-    can point to the wanted pair.  Returns the CG report."""
+    in the W slot, free until CG returns (in float32, in the first half of
+    its bytes), and a frozen column returns it.  Before anything locks the
+    rule stays off: there a negative curvature can point to the wanted
+    pair.  A frozen column whose iterate would be the zero start returns
+    its first preconditioned residual instead (``block_cg``), so W does not
+    collapse into the basis.  Returns the CG report."""
     lo = win.locked
     x_act = np.asfortranarray(win.v[:, lo : lo + width])
     bx_act = b_op.apply(x_act) if b_op is not None else x_act
-    rhs = np.asfortranarray(bx_act * (win.lam[lo : lo + width] - theta))
+    precond = _precond(win, a, b_op, cfg.cg_rel_tol)
     if theta != win.shift_theta:
-        win.shift_op = None   # free the old assembled matrix first
-        win.shift_op = a if theta == 0.0 else ShiftedOperator(a, b_op, theta)
+        win.shift_op = None   # free the old assembled matrices first
+        if theta == 0.0 and win.single is None:
+            win.shift_op = a
+        else:
+            win.shift_op = ShiftedOperator(a, b_op, theta)
+            if win.single is not None:
+                win.shift_op.assemble_single()
         win.shift_theta = theta
+    r0 = np.asfortranarray(bx_act * (win.lam[lo : lo + width] - theta))
+    del bx_act   # free B X before the shifted product allocates
+    r0 -= win.shift_op.apply(x_act)
     start = win.sx + win.np_
     w_slot = win.v[:, start : start + width]
+    best, floor = w_slot, 0.0
+    if win.single is not None:
+        hi_a, hi_b = win.single
+        r0 = r0.astype(np.float32)
+        halves = w_slot.reshape(-1, order="F").view(np.float32)
+        best = halves[: w_slot.size].reshape(w_slot.shape, order="F")
+        floor = _U32 * (hi_a + abs(theta) * hi_b)
     on_locked = cfg.shift_mode == "dynamic" and win.locked > 0
-    w, rep = block_cg(
-        win.shift_op, rhs, x0=x_act, max_iters=cfg.cg_max_iters, rel_tol=cfg.cg_rel_tol,
-        precond=_precond(win, a, b_op), best=w_slot if on_locked else None,
+    delta, rep = block_cg(
+        win.shift_op, r0, max_iters=cfg.cg_max_iters, rel_tol=cfg.cg_rel_tol,
+        precond=precond, best=best if on_locked else None, curvature_floor=floor,
     )
-    np.subtract(w, x_act, out=w_slot)
+    w_slot[...] = delta
     return rep
 
 

@@ -142,3 +142,99 @@ def test_restored_column_reports_its_residual_and_leaves_the_others():
     true = np.linalg.norm(rhs[:, 0] - op.apply(x_on)[:, 0]) / np.linalg.norm(rhs[:, 0])
     assert abs(on.relative_residuals[0] - true) <= 1e-12
     assert on.relative_residuals[0] < off.relative_residuals[0] / 50.0
+
+
+def test_zero_start_frozen_at_the_first_sweep_returns_z0():
+    """From a zero start, a column that freezes at its first sweep returns
+    its first preconditioned residual, not the zero start; the report keeps
+    the zero start's residual.  A column with a zero right-hand side stays
+    zero."""
+    op = DiagonalOperator(np.array([-1.0, 2.0, 4.0]))
+    rhs = np.zeros((3, 3), order="F")
+    rhs[:, 0] = [1.0, 0.0, 0.0]      # curvature -1 at the first sweep
+    rhs[:, 1] = [0.0, 1.0, 1.0]      # positive definite part: converges
+    inv = np.array([1.0, 0.5, 0.25])[:, None]
+    x, rep = block_cg(op, rhs, max_iters=10, rel_tol=1e-12)
+    assert rep.frozen.tolist() == [True, False, False]
+    np.testing.assert_array_equal(x[:, 0], rhs[:, 0])
+    assert rep.relative_residuals[0] == 1.0
+    assert not x[:, 2].any()
+    x, rep = block_cg(
+        op, rhs, max_iters=10, rel_tol=1e-12,
+        precond=lambda r, out: np.multiply(r, inv, out=out),
+    )
+    assert rep.frozen[0]
+    np.testing.assert_array_equal(x[:, 0], rhs[:, 0] * inv[:, 0])
+
+
+def test_zero_start_kept_as_best_returns_z0():
+    """A column whose residual rises from 2.43 to 67.4 in its first sweep
+    and freezes in the second: its best iterate is the zero start, so with
+    a ``best`` store it returns its first residual (plain CG's z0), and
+    without one the overshoot."""
+    rng = np.random.default_rng(6)
+    d = rng.uniform(0.5, 10.0, 6)
+    d[:2] *= -1.0
+    op = DiagonalOperator(d)
+    rhs = np.asfortranarray(rng.standard_normal((6, 1)))
+    x_off, off = block_cg(op, rhs, max_iters=30, rel_tol=1e-300)
+    assert off.frozen[0] and off.iterations == 2
+    assert np.linalg.norm(rhs - op.apply(x_off)) > 20.0 * np.linalg.norm(rhs)
+    x_on, on = block_cg(op, rhs, max_iters=30, rel_tol=1e-300, best=np.empty_like(rhs))
+    assert on.frozen[0] and on.iterations == 2
+    np.testing.assert_array_equal(x_on, rhs)
+    assert on.relative_residuals[0] == 1.0
+
+
+class _Float32Recorder(DiagonalOperator):
+    """A diagonal operator that records the dtype of every block and
+    output it is handed."""
+
+    def __init__(self, d):
+        super().__init__(d)
+        self.seen = []
+
+    def apply(self, x, out=None):
+        self.seen.append((x.dtype, None if out is None else out.dtype))
+        return super().apply(x, out=out)
+
+
+@pytest.mark.parametrize("precond", [False, True])
+def test_float32_rhs_solves_in_float32(precond):
+    """A float32 ``rhs`` gives a float32 solution, and the operator, the
+    preconditioner and the ``best`` store see float32 blocks only; the
+    solve still converges to float32 accuracy."""
+    n = 50
+    d = np.linspace(1.0, 10.0, n)
+    op = _Float32Recorder(d)
+    rhs = np.asfortranarray(np.random.default_rng(4).standard_normal((n, 3)), dtype=np.float32)
+    handed = []
+
+    def scale(r, out):
+        handed.append((r.dtype, out.dtype))
+        np.multiply(r, (1.0 / d).astype(np.float32)[:, None], out=out)
+
+    best = np.empty_like(rhs)
+    x, rep = block_cg(
+        op, rhs, max_iters=60, rel_tol=1e-5, precond=scale if precond else None, best=best
+    )
+    assert x.dtype == np.float32 and x.flags.f_contiguous
+    assert op.seen and all(s == (np.float32, np.float32) for s in op.seen)
+    assert all(h == (np.float32, np.float32) for h in handed) and bool(handed) == precond
+    assert rep.converged.all()
+    exact = rhs.astype(np.float64) / d[:, None]
+    assert np.abs(x - exact).max() <= 1e-4 * np.abs(exact).max()
+
+
+def test_curvature_floor_freezes_a_rounding_level_curvature():
+    """``curvature_floor`` freezes a column whose curvature ``p' op p`` is at
+    or below the floor times ``p'p``: here the operator's smallest entry,
+    1e-7 of its largest, holds the whole right-hand side."""
+    op = DiagonalOperator(np.array([1e-7, 1.0, 1.0]))
+    rhs = np.zeros((3, 1), order="F")
+    rhs[0, 0] = 1.0
+    _, free = block_cg(op, rhs, max_iters=5, rel_tol=1e-12)
+    assert free.converged[0]
+    x, rep = block_cg(op, rhs, max_iters=5, rel_tol=1e-12, curvature_floor=2e-7)
+    assert rep.frozen[0] and rep.iterations == 1
+    np.testing.assert_array_equal(x, rhs)

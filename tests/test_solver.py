@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.stats
 
+import gcgeig.errors
 import gcgeig.operators
 import gcgeig.solver
 from gcgeig import LinearOperator, RunRecord, SolverConfig, gcg_solve, generate_builtin
@@ -544,14 +546,28 @@ def _recording_block_cg(monkeypatch):
     return seen
 
 
-def _assert_diagonal_scaling(seen, diag):
+def _recording_rhs_dtypes(monkeypatch):
+    """Wrap the solver's block_cg; returns the list of the dtypes of the
+    right-hand sides it is handed, one per call."""
+    seen, inner = [], gcgeig.solver.block_cg
+
+    def block_cg(op, rhs, *args, **kwargs):
+        seen.append(rhs.dtype)
+        return inner(op, rhs, *args, **kwargs)
+
+    monkeypatch.setattr(gcgeig.solver, "block_cg", block_cg)
+    return seen
+
+
+def _assert_diagonal_scaling(seen, diag, dtype=np.float64):
     """Every preconditioner the solve handed CG is the one scaling by
-    1/diag, built once."""
+    1/diag, built once, with 1/diag held in ``dtype``, the precision of the
+    inner solve."""
     assert all(p is seen[0] for p in seen)
-    r = np.asfortranarray(np.random.default_rng(0).standard_normal((diag.size, 3)))
+    r = np.asfortranarray(np.random.default_rng(0).standard_normal((diag.size, 3)), dtype=dtype)
     out = np.empty_like(r, order="F")
     seen[0](r, out)
-    np.testing.assert_array_equal(out, r * (1.0 / diag)[:, None])
+    np.testing.assert_array_equal(out, r * (1.0 / diag).astype(dtype)[:, None])
 
 
 def test_banded_fem_converges_with_the_band_factor(monkeypatch):
@@ -743,3 +759,137 @@ def test_floor_at_the_lowest_eigenvalue_of_a_diagonal(moving):
     assert rep.status == "converged"
     np.testing.assert_allclose(rep.eigenvalues, np.arange(1.0, ne + 1.0), rtol=1e-10, atol=0)
     assert rep.residuals.max() < 1e-8
+
+
+def test_single_precision_rule_reads_the_gershgorin_condition():
+    """float32 needs CSR matrices whose Gershgorin intervals start above 0
+    with ``kappa_G * 2**-24 <= cg_rel_tol / 100``: clustered-random (kappa_G
+    about 5.9) passes at the default 0.01; diag-range n=2000 (kappa_G 2000)
+    needs cg_rel_tol 0.012 or more; fem1d-p1 (lo_A = 0) never passes."""
+    single = gcgeig.solver._single_precision
+    a, _ = generate_builtin("clustered-random", 2000, seed=1)
+    lo, hi = a.gershgorin()
+    assert single(a, None, 0.01) == (hi, 1.0) and 5.0 < hi / lo < 7.0
+    assert single(a, None, 0.0) is None
+    d, _ = generate_builtin("diag-range", 2000, seed=0)
+    assert single(d, None, 0.01) is None and single(d, None, 0.012) == (2000.0, 1.0)
+    k, m = generate_builtin("fem1d-p1", 300, seed=0)
+    assert single(k, m, 1.0) is None
+
+
+@pytest.mark.parametrize("moving", [False, True])
+@pytest.mark.parametrize("generalized", [False, True])
+def test_clustered_random_solves_cg_in_float32(monkeypatch, moving, generalized):
+    """clustered-random n=600, ne=40, alone or with a diagonal B whose
+    entries lie in [1, 2]: every inner solve is float32, scaled by a
+    float32 1/diag(A), and the pairs are eigh's to 1e-12."""
+    pre = _recording_block_cg(monkeypatch)
+    dtypes = _recording_rhs_dtypes(monkeypatch)
+    a, _ = generate_builtin("clustered-random", 600, seed=2)
+    b = None
+    if generalized:
+        b = scipy.sparse.diags(np.random.default_rng(0).uniform(1.0, 2.0, 600), format="csr")
+    ne = 40
+    rep = gcg_solve(a, b, SolverConfig(num_eigen=ne, seed=1, moving=moving))
+    assert dtypes and set(dtypes) == {np.dtype(np.float32)}
+    _assert_diagonal_scaling(pre, a.diagonal(), np.float32)
+    assert rep.status == "converged" and rep.residuals.max() < 1e-8
+    ref = scipy.linalg.eigh(
+        a.tocsr().toarray(), None if b is None else b.toarray(),
+        eigvals_only=True, subset_by_index=[0, ne - 1],
+    )
+    np.testing.assert_allclose(rep.eigenvalues, ref, rtol=1e-12, atol=0)
+
+
+class _Wrapped(LinearOperator):
+    """A user operator over a CSR matrix: its entries stay hidden."""
+
+    def __init__(self, sp):
+        super().__init__(sp.shape[0])
+        self.sp = sp
+
+    def apply(self, x, out=None):
+        y = self.sp @ x
+        if out is None:
+            return y
+        out[...] = y
+        return out
+
+
+@pytest.mark.parametrize("kind", ["fem1d-p1", "laplacian1d", "dense", "diagonal", "operator"])
+def test_inner_solve_stays_float64_without_a_proof(monkeypatch, kind):
+    """fem1d-p1 has a band factor, laplacian1d's Gershgorin interval starts
+    at 0, and a dense array, a diagonal array or a user LinearOperator has
+    no CSR entries to bound, even where they hold clustered-random's
+    matrix or a diagonal with kappa 2: every inner solve stays float64."""
+    dtypes = _recording_rhs_dtypes(monkeypatch)
+    n, ne, b = 300, 8, None
+    sp = generate_builtin("clustered-random", n, seed=1)[0].tocsr()
+    if kind in ("fem1d-p1", "laplacian1d"):
+        a, b = generate_builtin(kind, n, seed=0)
+    else:
+        a = {
+            "dense": lambda: sp.toarray(),
+            "diagonal": lambda: np.linspace(1.0, 2.0, n),
+            "operator": lambda: _Wrapped(sp),
+        }[kind]()
+    rep = gcg_solve(a, b, SolverConfig(num_eigen=ne, seed=1))
+    assert rep.status == "converged"
+    assert dtypes and set(dtypes) == {np.dtype(np.float64)}
+
+
+@pytest.mark.parametrize("moving", [False, True])
+def test_float32_solve_with_theta_on_an_eigenvalue(monkeypatch, moving):
+    """diag-range n=300, ne=20 without its band factor runs CG in float32
+    (kappa_G = 300), and its first theta, the Gershgorin floor, is
+    lambda_min = 1 itself: A - theta*I is singular on e_1, and a float32
+    curvature near it is rounding.  The curvature floor freezes such
+    columns, and the pairs come back finite and within tol.  Without the
+    floor the first damped step overflows."""
+    monkeypatch.setattr(gcgeig.operators.CsrOperator, "band_solver", lambda self: None)
+    dtypes = _recording_rhs_dtypes(monkeypatch)
+    a, _ = generate_builtin("diag-range", 300, seed=0)
+    ne = 20
+    cfg = SolverConfig(num_eigen=ne, seed=1, moving=moving)
+    rep = gcg_solve(a, config=cfg)
+    assert set(dtypes) == {np.dtype(np.float32)}
+    assert rep.history[0].theta == 1.0 and rep.history[0].cg_frozen > 0
+    assert rep.status == "converged" and rep.residuals.max() < 1e-8
+    assert np.isfinite(rep.eigenvectors).all()
+    np.testing.assert_allclose(rep.eigenvalues, np.arange(1.0, ne + 1.0), rtol=1e-12, atol=0)
+
+    monkeypatch.setattr(gcgeig.solver, "_U32", 0.0)   # admits, with no floor
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            gcg_solve(a, config=cfg)
+
+
+def test_frozen_zero_correction_is_not_refilled_randomly(monkeypatch):
+    """Contract case n=21, ne=15, generalized, moving, seed 21: every CG
+    column froze at its first sweep, so the correction W - X was 0 and W
+    was refilled with random directions on 981 of 1000 iterations, which
+    never converged.  A frozen column that would return the zero start
+    returns its first preconditioned residual: the solve converges in 20
+    iterations, and W never collapses into the basis."""
+    collapsed, inner = [], gcgeig.solver.orth_against
+
+    def orth_against(w, *args, **kwargs):
+        try:
+            return inner(w, *args, **kwargs)
+        except gcgeig.errors.AllDependent:
+            collapsed.append(w.shape[1])
+            raise
+
+    monkeypatch.setattr(gcgeig.solver, "orth_against", orth_against)
+    n = 21
+    rng = np.random.default_rng(n)
+    m = rng.standard_normal((n, n))
+    a = (m + m.T) / 2.0
+    g = rng.standard_normal((n, n))
+    b = g @ g.T / n + np.eye(n)
+    rep = gcg_solve(a, b, SolverConfig(num_eigen=15, moving=True, seed=n))
+    assert rep.status == "converged" and rep.iterations <= 40
+    assert collapsed == []
+    ref = scipy.linalg.eigh(a, b, eigvals_only=True)[:15]
+    np.testing.assert_allclose(rep.eigenvalues, ref, rtol=0, atol=1e-8 * np.abs(ref).max())

@@ -11,7 +11,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .errors import InvalidMatrix, InvalidShape, Unsupported
+from .errors import InvalidMatrix, InvalidShape
 
 __all__ = [
     "LinearOperator",
@@ -72,9 +72,6 @@ class LinearOperator:
     def apply(self, x, out=None):
         raise NotImplementedError
 
-    def diagonal(self):
-        raise Unsupported(f"{self.kind} operator does not expose a diagonal")
-
     def _out(self, x, out):
         if out is None:
             return np.empty((self.dim, x.shape[1]), dtype=np.float64, order="F")
@@ -103,15 +100,14 @@ class DenseOperator(LinearOperator):
         np.matmul(self.a, x, out=out)
         return out
 
-    def diagonal(self):
-        return np.ascontiguousarray(np.diag(self.a))
-
 
 class CsrOperator(LinearOperator):
     kind = "csr-sparse"
 
     def __init__(self, matrix):
-        sp = scipy.sparse.csr_matrix(matrix)
+        # a copy: sum_duplicates below works in place, and the caller's
+        # later writes must not reach a matrix that was checked here
+        sp = scipy.sparse.csr_matrix(matrix, copy=True)
         if sp.shape[0] != sp.shape[1]:
             raise InvalidShape(f"sparse operator must be square, got {sp.shape}")
         if not np.isfinite(sp.data).all():
@@ -231,9 +227,6 @@ class DiagonalOperator(LinearOperator):
         np.multiply(self.d[:, None], x, out=out)
         return out
 
-    def diagonal(self):
-        return self.d.copy()
-
 
 class ShiftedOperator(LinearOperator):
     """A - theta*B (or A - theta*I when B is None).
@@ -285,15 +278,6 @@ class ShiftedOperator(LinearOperator):
             else:
                 out -= self.theta * self.b.apply(x)
         return out
-
-    def diagonal(self):
-        d = self.a.diagonal()
-        if self.theta != 0.0:
-            if self.b is None:
-                d = d - self.theta
-            else:
-                d = d - self.theta * self.b.diagonal()
-        return d
 
 
 def as_operator(obj):

@@ -15,22 +15,24 @@ spanned by ``[X, P, W]``:
   ``W - X``, which the basis keeps, from zero against the residual ``-R =
   B X Lambda - A X`` of X, taken in float64 (``_damp``).  The sweeps run in
   float32 where the Gershgorin bounds of CSR matrices A and B prove it safe
-  (``_single_precision``), and in float64 otherwise.  Once a pair is
+  (``_gershgorin_rules``), and in float64 otherwise.  Once a pair is
   locked, a CG column that freezes on a nonpositive curvature returns the
   iterate with its smallest residual, not the overshoot of its last step;
   one that would return the zero start returns its first preconditioned
   residual.  The
   "dynamic" theta is the largest converged eigenvalue so far; before any
-  converges it is a floor under the spectrum (``_spectrum_floor``), or 10%
-  below the lowest Ritz value when that is negative, so an indefinite A
-  still draws the step to the bottom of its spectrum and not to the
-  eigenvalues nearest 0.  The floor comes from the Gershgorin intervals of
-  CSR matrices A and B, once per solve, and is positive only when A's lies
-  above 0; every other input gets 0.  Shift "none" keeps 0.
-  When A is a CSR matrix, CG is preconditioned (``_precond``): by A's band
-  Cholesky factor, with the locked pairs projected out, when the factor
-  takes no more room than A and exists; else by ``1 / diag(A)`` when that
-  diagonal is positive.  Every other A gets plain CG.
+  converges it is a floor under the spectrum, or 10% below the lowest Ritz
+  value when that is negative, so an indefinite A still draws the step to
+  the bottom of its spectrum and not to the eigenvalues nearest 0.  The
+  floor and the float32 rule both come from one read of the Gershgorin
+  intervals of CSR matrices A and B at the start of a solve; the floor is
+  positive only when A's lies above 0, and every other input gets 0.
+  Shift "none" keeps 0.  When A is a CSR matrix, CG is preconditioned, as
+  one plan built at the first damped step says (``_inner_plan``): by A's
+  band Cholesky factor, with the locked pairs projected out
+  (``_precond``), when the factor takes no more room than A and exists;
+  else by ``1 / diag(A)`` when that diagonal is positive.  Every other A
+  gets plain CG.
 
 The projected matrix is assembled structurally - the X block is the
 diagonal of Ritz values, the X-P block vanishes by construction, the P
@@ -172,7 +174,7 @@ def resolve_block_sizes(config, n):
 
 def select_shift(mode, lam, num_locked, floor=0.0):
     """Damping shift: the largest eigenvalue locked so far.  Before any is
-    locked, ``floor``, a lower bound on the spectrum (``_spectrum_floor``),
+    locked, ``floor``, a lower bound on the spectrum (``_gershgorin_rules``),
     or 10% below the lowest Ritz value when that is negative.  Mode "none"
     always returns 0."""
     if mode not in _SHIFT_MODES:
@@ -185,41 +187,32 @@ def select_shift(mode, lam, num_locked, floor=0.0):
     return float(lam[num_locked - 1])
 
 
-def _spectrum_floor(a, b_op):
-    """A positive lower bound on the eigenvalues of ``(A, B)``, or 0.  For a
-    CSR matrix A whose Gershgorin interval starts at ``lo_A > 0`` it is
-    ``lo_A``, or ``lo_A / hi_B`` with a CSR matrix B whose interval ends at
-    ``hi_B``, since ``x'Ax >= lo_A x'x`` and ``x'Bx <= hi_B x'x``.  Every
-    other input gets 0."""
-    if not isinstance(a, CsrOperator):
-        return 0.0
-    if b_op is not None and not isinstance(b_op, CsrOperator):
-        return 0.0
-    lo = a.gershgorin()[0]
-    if not lo > 0.0:
-        return 0.0
-    if b_op is None:
-        return lo
-    hi = b_op.gershgorin()[1]
-    return lo / hi if hi > 0.0 else 0.0
+def _gershgorin_rules(a, b_op, rel_tol):
+    """``(floor, single)`` from one read of the Gershgorin intervals
+    ``(lo_A, hi_A)`` of a CSR matrix A and ``(lo_B, hi_B)`` of a CSR matrix
+    B, taken as ``(1, 1)`` without B.  B is read only when ``lo_A > 0``:
+    neither rule has a use for it otherwise.
 
+    * ``floor`` is a positive lower bound on the eigenvalues of ``(A, B)``,
+      ``lo_A / hi_B``, since ``x'Ax >= lo_A x'x`` and ``x'Bx <= hi_B x'x``.
+    * ``single`` is ``(hi_A, hi_B)`` when the inner CG may run in float32:
+      ``lo_B > 0`` as well, and ``kappa_G = (hi_A / lo_A) * (hi_B / lo_B)``,
+      a bound on the condition of the pencil, keeps float32's rounding
+      amplified by it a hundred times below the inner tolerance:
+      ``kappa_G * 2**-24 <= rel_tol / 100`` (README, "Precision of the
+      damped step").
 
-def _single_precision(a, b_op, rel_tol):
-    """The Gershgorin upper ends ``(hi_A, hi_B)`` when the inner CG may run
-    in float32, else None.  A must be a CSR matrix and B a CSR matrix or
-    None (taken as ``(lo_B, hi_B) = (1, 1)``), both Gershgorin intervals
-    must start above 0, and ``kappa_G = (hi_A / lo_A) * (hi_B / lo_B)``, a
-    bound on the condition of the pencil, must keep float32's rounding
-    amplified by it a hundred times below the inner tolerance:
-    ``kappa_G * 2**-24 <= rel_tol / 100`` (README, "Inner solves")."""
+    Every other input gets ``(0.0, None)``."""
     if not isinstance(a, CsrOperator) or not isinstance(b_op, (CsrOperator, type(None))):
-        return None
+        return 0.0, None
     lo_a, hi_a = a.gershgorin()
+    if not lo_a > 0.0:
+        return 0.0, None
     lo_b, hi_b = (1.0, 1.0) if b_op is None else b_op.gershgorin()
-    if not (lo_a > 0.0 and lo_b > 0.0):
-        return None
-    kappa = (hi_a / lo_a) * (hi_b / lo_b)
-    return (hi_a, hi_b) if kappa * _U32 <= rel_tol / 100.0 else None
+    floor = lo_a / hi_b if hi_b > 0.0 else 0.0
+    if lo_b > 0.0 and (hi_a / lo_a) * (hi_b / lo_b) * _U32 <= rel_tol / 100.0:
+        return floor, (hi_a, hi_b)
+    return floor, None
 
 
 def _rel_residual(ax_j, x_j, bx_j, lam_j, generalized):
@@ -366,10 +359,6 @@ class _Window:
     p_coupling: np.ndarray | None = None    # phat' Abar phat, the next P block
     shift_op: object = None             # inner-solve operator, rebuilt per theta
     shift_theta: float | None = None
-    a_solve: object = None              # A's band Cholesky solve, or None
-    a_scale: object = None              # else its diagonal scaling, or None
-    single: tuple | None = None         # (hi_A, hi_B) when CG runs in float32
-    a_solve_tried: bool = False         # all three are set at the first damped step
 
     def deflation(self):
         """What W is kept B-orthogonal to: the stored pairs, X and P."""
@@ -475,28 +464,30 @@ def _lock_and_momentum(win, basis, full, c, group):
     win.lock(basis, full.values[:d], c, *blocks)
 
 
-def _precond(win, a, b_op, rel_tol):
-    """The inner CG's preconditioner, or None for plain CG.  A CSR matrix A
-    gets its band Cholesky solve, when ``CsrOperator.band_solver`` builds
-    one, followed by a B-orthogonal projection against the locked pairs, on
-    whose span ``A - theta*B`` is not positive definite.  Otherwise it gets
-    the scaling by ``1 / diag(A)`` when ``CsrOperator.diagonal_solver``
-    builds one, without the projection: the solves converge without it,
-    and on the moving window, whose locked prefix holds the whole store,
-    it cost more than the scaling saved.  The scaling is float32 when
-    ``_single_precision`` admits the problem, which also sets
-    ``win.single``."""
-    if not win.a_solve_tried:
-        win.a_solve_tried = True
-        if isinstance(a, CsrOperator):
-            win.a_solve = a.band_solver()
-            if win.a_solve is None:
-                win.single = _single_precision(a, b_op, rel_tol)
-                dtype = np.float64 if win.single is None else np.float32
-                win.a_scale = a.diagonal_solver(dtype)
-    if win.a_solve is None:
-        return win.a_scale
-    solve, q = win.a_solve, win.v[:, : win.locked]
+def _inner_plan(a, single):
+    """How the inner CG is preconditioned, as ``(band, scale, single)``.  A
+    CSR matrix A gets its band Cholesky solve ``band`` when
+    ``CsrOperator.band_solver`` builds one.  Otherwise it gets the scaling
+    ``scale`` by ``1 / diag(A)`` when ``CsrOperator.diagonal_solver`` builds
+    one, held in float32 when ``single``, the float32 rule of
+    ``_gershgorin_rules``, admits the problem, and the plan keeps
+    ``single`` for ``_damp``.  Every other A gets plain CG in float64."""
+    if not isinstance(a, CsrOperator):
+        return None, None, None
+    band = a.band_solver()
+    if band is not None:
+        return band, None, None
+    return None, a.diagonal_solver(np.float64 if single is None else np.float32), single
+
+
+def _precond(win, b_op, solve):
+    """A's band solve ``solve`` followed by a B-orthogonal projection
+    against the locked pairs, on whose span ``A - theta*B`` is not positive
+    definite.  The diagonal scaling has no such projection: its solves
+    converge without one, and on the moving window, whose locked prefix
+    holds the whole store, the projection cost more than the scaling
+    saved."""
+    q = win.v[:, : win.locked]
 
     def apply(r, out):
         out[...] = solve(r)
@@ -507,18 +498,20 @@ def _precond(win, a, b_op, rel_tol):
     return apply
 
 
-def _damp(win, a, b_op, width, theta, cfg):
+def _damp(win, a, b_op, width, theta, cfg, plan):
     """The damped inverse power block: a few CG sweeps on
     ``(A - theta*B) W = B X (Lambda - theta)`` for the active X,
-    preconditioned by ``_precond``, run for the correction ``W - X`` from
-    zero against X's residual ``B X (Lambda - theta) - (A - theta*B) X``,
-    taken in float64.  The W slot gets that correction: it spans the same
+    preconditioned as the solve's ``plan`` from ``_inner_plan`` says: by
+    the band solve with ``_precond``'s projection, by the diagonal scaling,
+    or not at all.  They run for the correction ``W - X`` from zero against
+    X's residual ``B X (Lambda - theta) - (A - theta*B) X``, taken in
+    float64.  The W slot gets that correction: it spans the same
     ``[X, P, W]``, and loses less of its norm to the deflation against X
     than W does, so ``orth_against`` repeats its deflation pass, and runs
     its post pass, less often.
 
-    When ``win.single`` is set the residual is rounded to float32 and CG
-    runs in float32, with ``A - theta*B`` assembled in float32; its
+    When the plan's ``single`` is set the residual is rounded to float32
+    and CG runs in float32, with ``A - theta*B`` assembled in float32; its
     rounding then scales with the residual, not with X.  At ``theta`` on an
     eigenvalue a float32 curvature can be pure rounding, and the step it
     gives overflows, so a column freezes once its curvature is at or below
@@ -537,17 +530,19 @@ def _damp(win, a, b_op, width, theta, cfg):
     pair.  A frozen column whose iterate would be the zero start returns
     its first preconditioned residual instead (``block_cg``), so W does not
     collapse into the basis.  Returns the CG report."""
+    band, precond, single = plan
+    if band is not None:
+        precond = _precond(win, b_op, band)
     lo = win.locked
     x_act = np.asfortranarray(win.v[:, lo : lo + width])
     bx_act = b_op.apply(x_act) if b_op is not None else x_act
-    precond = _precond(win, a, b_op, cfg.cg_rel_tol)
     if theta != win.shift_theta:
         win.shift_op = None   # free the old assembled matrices first
-        if theta == 0.0 and win.single is None:
+        if theta == 0.0 and single is None:
             win.shift_op = a
         else:
             win.shift_op = ShiftedOperator(a, b_op, theta)
-            if win.single is not None:
+            if single is not None:
                 win.shift_op.assemble_single()
         win.shift_theta = theta
     r0 = np.asfortranarray(bx_act * (win.lam[lo : lo + width] - theta))
@@ -556,8 +551,8 @@ def _damp(win, a, b_op, width, theta, cfg):
     start = win.sx + win.np_
     w_slot = win.v[:, start : start + width]
     best, floor = w_slot, 0.0
-    if win.single is not None:
-        hi_a, hi_b = win.single
+    if single is not None:
+        hi_a, hi_b = single
         r0 = r0.astype(np.float32)
         halves = w_slot.reshape(-1, order="F").view(np.float32)
         best = halves[: w_slot.size].reshape(w_slot.shape, order="F")
@@ -615,7 +610,8 @@ def gcg_solve(a, b=None, config=None):
         raise InvalidShape(f"unknown shift mode {cfg.shift_mode!r}")
     ne = int(cfg.num_eigen)
     bs, sx = resolve_block_sizes(cfg, n)
-    floor = _spectrum_floor(a, b_op)
+    floor, single = _gershgorin_rules(a, b_op, cfg.cg_rel_tol)
+    plan = None   # the inner solve's set-up, built at the first damped step
 
     # a moving run holds its stored pairs, an X of at most 3*bs columns past
     # them, and P and W of at most bs each; the stored pairs and W together
@@ -685,7 +681,8 @@ def gcg_solve(a, b=None, config=None):
             width = min(width, n - win.sx - win.np_)
             win.nw = 0
             if width > 0:
-                cg = _damp(win, a, b_op, width, rec.theta, cfg)
+                plan = plan or _inner_plan(a, single)
+                cg = _damp(win, a, b_op, width, rec.theta, cfg, plan)
                 rec.cg_iterations = cg.iterations
                 rec.cg_converged = int(cg.converged.sum())
                 rec.cg_frozen = int(cg.frozen.sum())

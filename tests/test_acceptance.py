@@ -6,6 +6,7 @@ whole gate reads as a checklist.
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -309,11 +310,16 @@ def test_acceptance_11_determinism(capsys, tmp_path):
         "--builtin", "clustered-random", "--n", "128", "--gen-seed", "3",
         "--num-eigen", "8", "--seed", "7", "--deterministic",
     ]
+    # the CLI runs from the package these tests import, installed or not
+    src = os.path.dirname(os.path.dirname(gcgeig.orth.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     outs = []
     for name in ("r1.json", "r2.json"):
         path = tmp_path / name
         proc = subprocess.run(
-            args + ["--out", str(path)], capture_output=True, text=True
+            args + ["--out", str(path)], capture_output=True, text=True,
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr
         outs.append(path.read_bytes())

@@ -766,7 +766,7 @@ def test_single_precision_rule_reads_the_gershgorin_condition():
     with ``kappa_G * 2**-24 <= cg_rel_tol / 100``: clustered-random (kappa_G
     about 5.9) passes at the default 0.01; diag-range n=2000 (kappa_G 2000)
     needs cg_rel_tol 0.012 or more; fem1d-p1 (lo_A = 0) never passes."""
-    single = gcgeig.solver._single_precision
+    single = lambda a, b, rel_tol: gcgeig.solver._gershgorin_rules(a, b, rel_tol)[1]
     a, _ = generate_builtin("clustered-random", 2000, seed=1)
     lo, hi = a.gershgorin()
     assert single(a, None, 0.01) == (hi, 1.0) and 5.0 < hi / lo < 7.0
@@ -775,6 +775,51 @@ def test_single_precision_rule_reads_the_gershgorin_condition():
     assert single(d, None, 0.01) is None and single(d, None, 0.012) == (2000.0, 1.0)
     k, m = generate_builtin("fem1d-p1", 300, seed=0)
     assert single(k, m, 1.0) is None
+
+
+@pytest.mark.parametrize("kind", ["clustered-random", "clustered-random-b", "fem1d-p1"])
+def test_one_gershgorin_read_and_one_inner_set_up_per_solve(monkeypatch, kind):
+    """A solve reads each CSR operator's Gershgorin bounds at most once, B's
+    only when A's interval starts above 0, and builds the band factor, or
+    failing that the diagonal scaling, once, before the first damped step
+    returns."""
+    events = []
+    cls = gcgeig.operators.CsrOperator
+    for name in ("gershgorin", "band_solver", "diagonal_solver"):
+        def counting(self, *args, _name=name, _inner=getattr(cls, name)):
+            events.append((_name, self))
+            return _inner(self, *args)
+
+        monkeypatch.setattr(cls, name, counting)
+    damp = gcgeig.solver._damp
+
+    def recording(*args):
+        rep = damp(*args)
+        events.append(("_damp", None))
+        return rep
+
+    monkeypatch.setattr(gcgeig.solver, "_damp", recording)
+    n, b = 300, None
+    if kind == "fem1d-p1":
+        a, b = generate_builtin(kind, n, seed=0)
+    else:
+        a, _ = generate_builtin("clustered-random", n, seed=1)
+    if kind == "clustered-random-b":
+        b = gcgeig.operators.CsrOperator(
+            scipy.sparse.diags(np.random.default_rng(0).uniform(1.0, 2.0, n), format="csr")
+        )
+    rep = gcg_solve(a, b, SolverConfig(num_eigen=10, seed=1))
+    assert rep.status == "converged"
+    first_damp = events.index(("_damp", None))
+    assert events.count(("_damp", None)) > 1
+    reads = [op for name, op in events if name == "gershgorin"]
+    assert reads == ([a, b] if kind == "clustered-random-b" else [a])
+    built = [(name, op) for name, op in events if name in ("band_solver", "diagonal_solver")]
+    if kind == "fem1d-p1":
+        assert built == [("band_solver", a)]
+    else:
+        assert built == [("band_solver", a), ("diagonal_solver", a)]
+    assert all(events.index(e) < first_damp for e in built)
 
 
 @pytest.mark.parametrize("moving", [False, True])

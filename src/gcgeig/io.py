@@ -242,7 +242,7 @@ def read_matrix_market(path):
 
     sp.sum_duplicates()
     sp.sort_indices()
-    return CsrOperator(sp)
+    return CsrOperator._adopt(sp)
 
 
 def write_matrix_market(matrix, path):
@@ -283,18 +283,18 @@ def _tridiag(n, lo, mid, hi):
 
 
 def _laplacian1d(n, density, seed):
-    return CsrOperator(_tridiag(n, -1.0, 2.0, -1.0)), None
+    return CsrOperator._adopt(_tridiag(n, -1.0, 2.0, -1.0)), None
 
 
 def _fem1d_p1(n, density, seed):
     h = 1.0 / (n + 1)
     a = (1.0 / h) * _tridiag(n, -1.0, 2.0, -1.0)
     b = (h / 6.0) * _tridiag(n, 1.0, 4.0, 1.0)
-    return CsrOperator(a), CsrOperator(b)
+    return CsrOperator._adopt(a), CsrOperator._adopt(b)
 
 
 def _diag_range(n, density, seed):
-    return CsrOperator(scipy.sparse.diags(np.arange(1.0, n + 1.0), format="csr")), None
+    return CsrOperator._adopt(scipy.sparse.diags(np.arange(1.0, n + 1.0), format="csr")), None
 
 
 def _clustered_random(n, density, seed):
@@ -328,7 +328,7 @@ def _clustered_random(n, density, seed):
     if worst > 0.0:
         c = c * (0.4 * float(diag.min()) / worst)
     a = scipy.sparse.diags(diag, format="csr") + c
-    return CsrOperator(a), None
+    return CsrOperator._adopt(a), None
 
 
 _GENERATORS = {

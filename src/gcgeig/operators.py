@@ -107,7 +107,17 @@ class CsrOperator(LinearOperator):
     def __init__(self, matrix):
         # a copy: sum_duplicates below works in place, and the caller's
         # later writes must not reach a matrix that was checked here
-        sp = scipy.sparse.csr_matrix(matrix, copy=True)
+        self._take(scipy.sparse.csr_matrix(matrix, copy=True))
+
+    @classmethod
+    def _adopt(cls, sp):
+        """Wrap a CSR matrix that no one else holds, as the reader and the
+        generators build it: the constructor's checks, without its copy."""
+        op = cls.__new__(cls)
+        op._take(scipy.sparse.csr_matrix(sp, copy=False))
+        return op
+
+    def _take(self, sp):
         if sp.shape[0] != sp.shape[1]:
             raise InvalidShape(f"sparse operator must be square, got {sp.shape}")
         if not np.isfinite(sp.data).all():

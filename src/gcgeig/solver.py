@@ -6,7 +6,10 @@ products with blocks of vectors.  Each iteration works in the subspace
 spanned by ``[X, P, W]``:
 
 * X holds the current Ritz vectors; converged leading columns are locked
-  and leave the projected problem.
+  and leave the projected problem.  Past the ``num_eigen`` wanted columns
+  it holds a guard of ``min(3*block_size, max(block_size, 16))`` Ritz
+  vectors, which speed the last wanted pairs (``resolve_block_sizes``);
+  ``block_size`` is the width of P and W.
 * P carries the momentum directions: the part of the previous step kept
   out of span(X), built purely in coefficient space, in closed form from
   the Rayleigh-Ritz eigenvectors past the Ritz block (``_build_p``).
@@ -54,8 +57,9 @@ convergence check forms the Ritz vectors ``block_size`` columns at a time
 as it goes, and the projection applies A to at most ``_CHUNK_COLS``
 columns at a time.  The other n-row arrays are the inner CG's and W's
 orthogonalization work arrays, ``block_size`` wide, and, once per solve,
-the deflation temporaries of the starting block, half of X wide.  A wide
-solve of clustered-random n=2000 with 200 pairs peaks at 1.8 times ``v``.
+the deflation temporaries of the starting block, half of X wide.  On
+clustered-random n=2000 with 200 pairs a wide solve peaks at 1.75 times
+``v`` and a moving one at 1.6 times.
 """
 
 from __future__ import annotations
@@ -98,6 +102,24 @@ _ROW_BLOCK = 512
 _CHUNK_COLS = 64
 # float32's unit roundoff
 _U32 = 2.0 ** -24
+# A wide X holds this many Ritz vectors past num_eigen, at least one block
+# and at most the 3*block_size of small blocks (resolve_block_sizes).  Wide
+# solves, CPU time summed over seeds 1-10 (best of 2 each), with a guard of
+# 3*block_size and with this constant at 12 / 16 / 24 (2-vCPU guest, 1 BLAS
+# thread):
+#
+#   clustered-random n=2000 ne=200 (bs 40)   11.29 s    8.20 s at any value <= 40
+#   clustered-random n=2000 ne=60  (bs 12)    2.72 s    2.59 / 2.63 / 2.64 s
+#   clustered-random n=2000 ne=40  (bs 8)     2.13 s    2.08 / 2.09 / 2.20 s
+#   laplacian1d n=3000 ne=60       (bs 12)    1.84 s    1.84 / 1.77 / 1.86 s
+#
+# At bs 8, 24 columns are 3*bs, the same solve as the first column, so 2.13
+# against 2.20 s is the noise.  A narrower guard takes more outer iterations
+# (363 -> 405 at ne=200, 459 -> 515 / 501 / 481 at ne=60), each cheaper.
+# At 8 the guard is one block from bs 8 on; it took more iterations still
+# (494 -> 540 at ne=40) for times within the noise.  Every eigenvalue stayed
+# within 3.2e-15 of eigh.
+_GUARD_COLS = 16
 
 
 @dataclass
@@ -157,9 +179,13 @@ def moving_memory_budget(size_x, block_size):
 
 
 def resolve_block_sizes(config, n):
-    """The ``(block_size, size_x)`` a solve of dimension ``n`` works with:
-    X is ``num_eigen + 3*block_size`` wide, or ``3*block_size`` for the
-    moving window, and never wider than ``n``."""
+    """The ``(block_size, size_x)`` a solve of dimension ``n`` works with.
+    A wide X holds ``num_eigen`` columns plus a guard of ``min(3*bs,
+    max(bs, _GUARD_COLS))`` Ritz vectors past them, which speed the last
+    wanted pairs: ``3*bs`` up to ``bs = 5``, then 16 columns, then one
+    block from ``bs = 16`` on.  The moving window's X is ``3*block_size``.
+    Neither is wider than ``n``.  ``block_size`` is the width of W either
+    way."""
     ne = int(config.num_eigen)
     if not (1 <= ne <= n):
         raise InvalidShape(f"num_eigen must be in 1..{n}, got {ne}")
@@ -169,7 +195,7 @@ def resolve_block_sizes(config, n):
     bs = min(bs, n)
     if config.moving:
         return bs, min(3 * bs, n)
-    return bs, min(ne + 3 * bs, n)
+    return bs, min(ne + min(3 * bs, max(bs, _GUARD_COLS)), n)
 
 
 def select_shift(mode, lam, num_locked, floor=0.0):

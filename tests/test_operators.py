@@ -4,7 +4,7 @@ import scipy.linalg
 import scipy.sparse
 
 import gcgeig.operators
-from gcgeig.errors import InvalidMatrix
+from gcgeig.errors import InvalidMatrix, InvalidShape
 from gcgeig.operators import (
     CsrOperator,
     DenseOperator,
@@ -128,6 +128,30 @@ class TestValidation:
         expect = m @ x
         m.data *= 0.0
         np.testing.assert_array_equal(op.apply(x), expect)
+
+    def test_csr_adopt_shares_the_matrix(self, rng):
+        """The internal constructor for matrices the package builds itself
+        keeps the caller's arrays, and its operator applies as the copying
+        constructor's does."""
+        m = tridiag(30, -1.0, 2.0, -1.0)
+        op = CsrOperator._adopt(m)
+        assert np.shares_memory(op._sp.data, m.data)
+        assert np.shares_memory(op._sp.indices, m.indices)
+        x = np.asfortranarray(rng.standard_normal((30, 6)))
+        np.testing.assert_array_equal(op.apply(x), CsrOperator(m).apply(x))
+
+    @pytest.mark.parametrize("bad", ["rectangular", "asymmetric", "non-finite"])
+    def test_csr_adopt_checks_as_the_constructor_does(self, bad):
+        m = {
+            "rectangular": scipy.sparse.csr_matrix(np.ones((3, 4))),
+            "asymmetric": scipy.sparse.csr_matrix(np.triu(np.ones((4, 4)))),
+            "non-finite": scipy.sparse.csr_matrix(np.diag([1.0, np.nan, 2.0])),
+        }[bad]
+        with pytest.raises((InvalidShape, InvalidMatrix)) as want:
+            CsrOperator(m)
+        with pytest.raises(want.type) as got:
+            CsrOperator._adopt(m)
+        assert str(got.value) == str(want.value)
 
 
 class TestAsOperator:

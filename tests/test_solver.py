@@ -1,6 +1,7 @@
 """End-to-end and unit coverage for the block eigensolver."""
 
 import json
+import math
 import tracemalloc
 import warnings
 
@@ -279,7 +280,8 @@ def test_instrumentation_defects_are_tiny():
 
 
 def test_projection_dim_respects_configured_sizes():
-    # defaults: block 2 = ceil(8/5), size_x = 8 + 3*2 = 14, basis <= 18
+    # defaults: block 2 = ceil(8/5); the guard past num_eigen is
+    # min(3*2, max(2, 16)) = 6 columns, so size_x = 14 and the basis <= 18
     rep = gcg_solve(
         np.diag(np.arange(1.0, 31.0)), config=SolverConfig(num_eigen=8, seed=15)
     )
@@ -406,14 +408,31 @@ def test_indefinite_b_raises_invalid_matrix():
         gcg_solve(a, b, SolverConfig(num_eigen=3))
 
 
-# (n, num_eigen, block_size, moving) -> resolved (block_size, size_x)
+# (n, num_eigen, block_size, moving) -> resolved (block_size, size_x).  A
+# wide X holds min(3*bs, max(bs, 16)) columns past num_eigen when n allows.
 _SIZE_EDGES = {
     "ne-eq-n": ((10, 10, None, False), (2, 10)),
     "ne-eq-n-moving": ((10, 10, None, True), (2, 6)),
     "bs-gt-n": ((10, 3, 50, False), (10, 10)),
     "bs-gt-n-moving": ((10, 3, 50, True), (10, 10)),
     "defaults": ((100, 12, None, False), (3, 21)),
+    "bs-5-guard-15": ((100, 12, 5, False), (5, 27)),
+    "bs-6-guard-16": ((100, 12, 6, False), (6, 28)),
+    "bs-16-guard-16": ((200, 12, 16, False), (16, 28)),
+    "bs-40-guard-40": ((300, 12, 40, False), (40, 52)),
+    "bs-40-moving": ((300, 12, 40, True), (40, 120)),
 }
+
+
+@pytest.mark.parametrize("bs", [None, 1, 2, 3, 4, 5])
+def test_small_blocks_keep_a_guard_of_three_blocks(bs):
+    """Up to block_size 5, the default for num_eigen <= 25, the guard of a
+    wide X is 3*block_size columns, fewer than 16, so X is num_eigen +
+    3*block_size wide."""
+    for ne in range(1, 26):
+        cfg = SolverConfig(num_eigen=ne, block_size=bs)
+        width = bs if bs is not None else math.ceil(ne / 5)
+        assert resolve_block_sizes(cfg, 10_000) == (width, ne + 3 * width)
 
 
 @pytest.mark.parametrize("case, expect", _SIZE_EDGES.values(), ids=_SIZE_EDGES.keys())
@@ -464,7 +483,7 @@ def test_wide_solve_peaks_below_twice_its_basis_array():
     """A wide solve's traced peak stays below twice the basis array ``v``
     (n x (sx + 2*bs) doubles): X and P are rotated into ``v`` in place, and
     the projection and the convergence check hold at most one chunk of
-    columns at a time.  This solve measures 1.83 times ``v``;
+    columns at a time.  This solve measures 1.90 times ``v``;
     with the first projection's three n-by-sx temporaries it was 3.4."""
     n, ne = 1500, 150
     a, _ = generate_builtin("clustered-random", n, seed=1)
@@ -485,8 +504,8 @@ def test_wide_solve_peaks_below_twice_its_basis_array():
 def test_moving_solve_peaks_below_twice_its_basis_array():
     """The moving twin of the test above: the basis array ``v`` is n x (ne
     + 4*bs) doubles.  The frozen CG columns' best iterates are kept in the
-    W slot of ``v``, not in a block of their own; this solve measures 1.92
-    times ``v`` (2.03 with a separate n-by-bs block for them)."""
+    W slot of ``v``, not in a block of their own; this solve measures 1.73
+    times ``v``."""
     n, ne = 1500, 150
     a, _ = generate_builtin("clustered-random", n, seed=1)
     cfg = SolverConfig(num_eigen=ne, seed=1, moving=True)

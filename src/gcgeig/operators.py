@@ -57,7 +57,8 @@ _SYM_RTOL = 1e-12
 # clustered k=40 reads 1099/481 and fem n=20000 k=40 2475/3508.
 _BLOCK_MIN_COLS = 5
 
-# CsrOperator.gershgorin sums the entries of this many rows at a time.
+# CsrOperator._radii, behind gershgorin and scaled_gershgorin_floor, sums the
+# entries of this many rows at a time.
 _GERSHGORIN_ROWS = 4096
 
 
@@ -193,21 +194,67 @@ class CsrOperator(LinearOperator):
         inv = (1.0 / d).astype(dtype)[:, None]
         return lambda r, out: np.multiply(r, inv, out=out)
 
-    def gershgorin(self):
-        """The Gershgorin interval ``(lo, hi)``: the min and max over rows of
-        ``a_ii -/+ sum_{j != i} |a_ij|``, which hold every eigenvalue.  The
-        row sums are read from ``data`` and ``indptr``, ``_GERSHGORIN_ROWS``
-        rows at a time, so no nnz-sized copy is made."""
-        sp, d = self._sp, self.diagonal()
+    def _radii(self, d, s):
+        """The disc radii of ``S^-1 A S`` with ``S = diag(s)``, times ``s``:
+        ``sum_{j != i} |a_ij| s_j`` for every row ``i``.  One read of
+        ``data``, ``indices`` and ``indptr``, ``_GERSHGORIN_ROWS`` rows at a
+        time, so no nnz-sized copy is made."""
+        sp = self._sp
         ptr = sp.indptr
         radius = np.zeros(self.dim)
         rows = np.flatnonzero(ptr[1:] > ptr[:-1])
         for k in range(0, rows.size, _GERSHGORIN_ROWS):
             r = rows[k : k + _GERSHGORIN_ROWS]
             first, last = ptr[r[0]], ptr[r[-1] + 1]
-            radius[r] = np.add.reduceat(np.abs(sp.data[first:last]), ptr[r] - first)
-        radius -= np.abs(d)
+            terms = np.abs(sp.data[first:last]) * s[sp.indices[first:last]]
+            radius[r] = np.add.reduceat(terms, ptr[r] - first)
+        radius -= np.abs(d) * s
+        return radius
+
+    def gershgorin(self):
+        """The Gershgorin interval ``(lo, hi)``: the min and max over rows of
+        ``a_ii -/+ sum_{j != i} |a_ij|``, which hold every eigenvalue.  The
+        row sums take one read of the matrix (``_radii`` at ``s = 1``)."""
+        d = self.diagonal()
+        radius = self._radii(d, np.ones(self.dim))
         return float((d - radius).min()), float((d + radius).max())
+
+    def scaled_gershgorin_floor(self, steps):
+        """A lower bound on the smallest eigenvalue from the Gershgorin discs
+        of ``S^-1 A S``, ``S = diag(s)``, which has A's eigenvalues for any
+        positive ``s``: the best over ``steps`` vectors ``s`` of
+        ``min_i (a_ii - sum_{j != i} |a_ij| s_j / s_i)``, one read of the
+        matrix each (``_radii``).
+
+        The first ``s`` is 1, whose bound is ``gershgorin()[0]`` itself, so
+        the result is never below it.  Each next ``s`` is ``(c*I - <A>) s``,
+        a power step towards the Perron vector of the comparison matrix
+        ``<A> = diag(A) - |offdiag(A)|``, where the bound tends to
+        ``lambda_min(<A>) <= lambda_min(A)`` (Collatz-Wielandt; Varga,
+        "Gersgorin and His Circles", ch. 1).  ``c`` lies just above
+        Gershgorin's upper end, so ``c*I - <A>`` has nonnegative eigenvalues
+        and positive diagonal entries, and ``s`` stays positive.  Any
+        positive ``s`` gives a bound, so only the evaluation rounds: each
+        row's bound past the first ``s`` gives up ``(k + 2) * eps`` of
+        ``|a_ii|`` plus its radius, for its ``k`` stored entries.  A matrix
+        without off-diagonal entries has point discs: the first read gives
+        its exact smallest eigenvalue, and the steps are skipped."""
+        d, s = self.diagonal(), np.ones(self.dim)
+        radius = self._radii(d, s)
+        lo, hi = float((d - radius).min()), float((d + radius).max())
+        if not radius.any():
+            return lo
+        c = hi + (hi - lo) / 64.0   # hi - lo is at least twice every radius
+        slack = (np.diff(self._sp.indptr) + 2) * np.finfo(np.float64).eps
+        best = lo
+        for _ in range(steps - 1):
+            s *= c - d
+            s += radius
+            s /= s.max()
+            radius = self._radii(d, s)
+            rho = radius / s
+            best = max(best, float((d - rho - slack * (np.abs(d) + rho)).min()))
+        return best
 
 
 def _half_bandwidth(sp):

@@ -28,14 +28,18 @@ spanned by ``[X, P, W]``:
   value when that is negative, so an indefinite A still draws the step to
   the bottom of its spectrum and not to the eigenvalues nearest 0.  The
   floor and the float32 rule both come from one read of the Gershgorin
-  intervals of CSR matrices A and B at the start of a solve; the floor is
-  positive only when A's lies above 0, and every other input gets 0.
-  Shift "none" keeps 0.  When A is a CSR matrix, CG is preconditioned, as
-  one plan built at the first damped step says (``_inner_plan``): by A's
-  band Cholesky factor, with the locked pairs projected out
-  (``_precond``), when the factor takes no more room than A and exists;
-  else by ``1 / diag(A)`` when that diagonal is positive.  Every other A
-  gets plain CG.
+  intervals of CSR matrices A and B at the start of a solve.  The floor is
+  positive only when A's lies above 0, and every other input gets 0.  It
+  is then ``lo_A / hi_B``, with A's lower end ``lo_A`` raised to the best
+  Gershgorin bound of ``S^-1 A S`` over a few positive diagonals ``S``
+  (``CsrOperator.scaled_gershgorin_floor``): each such matrix has A's
+  eigenvalues, so the floor stays under lambda_1 and starts the damped
+  step much nearer to it.  Shift "none" keeps 0.  When A is a CSR matrix,
+  CG is preconditioned, as one plan built at the first damped step says
+  (``_inner_plan``): by A's band Cholesky factor, with the locked pairs
+  projected out (``_precond``), when the factor takes no more room than A
+  and exists; else by ``1 / diag(A)`` when that diagonal is positive.
+  Every other A gets plain CG.
 
 The projected matrix is assembled structurally - the X block is the
 diagonal of Ritz values, the X-P block vanishes by construction, the P
@@ -120,6 +124,24 @@ _U32 = 2.0 ** -24
 # (494 -> 540 at ne=40) for times within the noise.  Every eigenvalue stayed
 # within 3.2e-15 of eigh.
 _GUARD_COLS = 16
+# Vectors s of the scaled Gershgorin floor (_gershgorin_rules), one read of A
+# each; 1 is the plain Gershgorin floor.  clustered-random n=2000, wide unless
+# marked: the floor at seed 1, then outer iterations and wall time summed
+# over seeds 0-9 (ne=200, best of 2) or 1-5 (best of 3), the step counts
+# interleaved (2-vCPU guest, 1 BLAS thread):
+#
+#   steps                     1           4           8          16          32
+#   floor (lambda_1 0.982)    0.726       0.919       0.938       0.955       0.969
+#   ne=200               403, 9.81 s 368, 8.44 s 360, 8.20 s 358, 7.98 s 353, 8.40 s
+#   ne=200 moving        513, 7.57 s 463, 7.21 s 450, 7.34 s 451, 7.21 s 444, 7.44 s
+#   ne=10                343, 0.58 s 232, 0.47 s 198, 0.43 s 174, 0.42 s 155, 0.42 s
+#   ne=40                259, 1.05 s 195, 0.90 s 180, 0.85 s 171, 0.84 s 170, 0.89 s
+#   ne=100               218, 1.93 s 182, 1.67 s 175, 1.63 s 170, 1.64 s 168, 1.65 s
+#
+# Nearer lambda_1 the inner CG takes more sweeps (ne=100: 1303, 1338, 1413,
+# 1521, 1671), and past 16 steps they cost more than the outer iterations
+# save.  The 16 reads take 2.1 ms at n=2000.
+_FLOOR_STEPS = 16
 
 
 @dataclass
@@ -200,9 +222,11 @@ def resolve_block_sizes(config, n):
 
 def select_shift(mode, lam, num_locked, floor=0.0):
     """Damping shift: the largest eigenvalue locked so far.  Before any is
-    locked, ``floor``, a lower bound on the spectrum (``_gershgorin_rules``),
-    or 10% below the lowest Ritz value when that is negative.  Mode "none"
-    always returns 0."""
+    locked, ``floor``, or 10% below the lowest Ritz value when that is
+    negative.  ``floor`` is a lower bound on the spectrum: a solve passes
+    ``_gershgorin_rules``' scaled-disc bound, which is 0 unless A is a CSR
+    matrix whose Gershgorin interval starts above 0.  Mode "none" always
+    returns 0."""
     if mode not in _SHIFT_MODES:
         raise InvalidShape(f"unknown shift mode {mode!r}")
     if mode == "none":
@@ -220,13 +244,20 @@ def _gershgorin_rules(a, b_op, rel_tol):
     neither rule has a use for it otherwise.
 
     * ``floor`` is a positive lower bound on the eigenvalues of ``(A, B)``,
-      ``lo_A / hi_B``, since ``x'Ax >= lo_A x'x`` and ``x'Bx <= hi_B x'x``.
+      ``lo_S / hi_B``, since ``x'Ax >= lo_S x'x`` and ``x'Bx <= hi_B x'x``.
+      ``lo_S`` is ``CsrOperator.scaled_gershgorin_floor``: the Gershgorin
+      lower end of ``S^-1 A S`` for the best of ``_FLOOR_STEPS`` positive
+      diagonals ``S``, one read of A each.  Each ``S^-1 A S`` has A's
+      eigenvalues, so ``lo_S <= lambda_min(A)``; the first ``S`` is I, so
+      ``lo_S >= lo_A``.  On a diagonal A, whose discs are points, it is
+      ``lo_A`` itself, and with ``lo_A <= 0`` it is never computed.
     * ``single`` is ``(hi_A, hi_B)`` when the inner CG may run in float32:
       ``lo_B > 0`` as well, and ``kappa_G = (hi_A / lo_A) * (hi_B / lo_B)``,
       a bound on the condition of the pencil, keeps float32's rounding
       amplified by it a hundred times below the inner tolerance:
       ``kappa_G * 2**-24 <= rel_tol / 100`` (README, "Precision of the
-      damped step").
+      damped step").  It reads the plain ``lo_A``, so the scaled floor
+      changes no precision decision.
 
     Every other input gets ``(0.0, None)``."""
     if not isinstance(a, CsrOperator) or not isinstance(b_op, (CsrOperator, type(None))):
@@ -235,7 +266,7 @@ def _gershgorin_rules(a, b_op, rel_tol):
     if not lo_a > 0.0:
         return 0.0, None
     lo_b, hi_b = (1.0, 1.0) if b_op is None else b_op.gershgorin()
-    floor = lo_a / hi_b if hi_b > 0.0 else 0.0
+    floor = a.scaled_gershgorin_floor(_FLOOR_STEPS) / hi_b if hi_b > 0.0 else 0.0
     if lo_b > 0.0 and (hi_a / lo_a) * (hi_b / lo_b) * _U32 <= rel_tol / 100.0:
         return floor, (hi_a, hi_b)
     return floor, None

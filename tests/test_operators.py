@@ -368,14 +368,18 @@ class TestGershgorin:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_floor_under_a_generalized_spectrum(self, seed):
+        """The floor is A's scaled-disc bound over B's upper end, at or
+        above the plain ``lo_A / hi_B`` and under the pencil's spectrum."""
         from gcgeig import generate_builtin
-        from gcgeig.solver import _gershgorin_rules
+        from gcgeig.solver import _FLOOR_STEPS, _gershgorin_rules
 
         n = 60
         a = CsrOperator(_diagonally_dominant(n, seed))
         _, b = generate_builtin("fem1d-p1", n)   # its P1 mass matrix
         floor = _gershgorin_rules(a, b, 0.01)[0]
-        assert floor == a.gershgorin()[0] / b.gershgorin()[1] > 0.0
+        hi_b = b.gershgorin()[1]
+        assert floor == a.scaled_gershgorin_floor(_FLOOR_STEPS) / hi_b
+        assert floor >= a.gershgorin()[0] / hi_b > 0.0
         vals = scipy.linalg.eigh(a.tocsr().toarray(), b.tocsr().toarray(), eigvals_only=True)
         assert floor <= vals[0]
 
@@ -417,3 +421,96 @@ class TestGershgorin:
         assert _gershgorin_rules(a, b, 0.01)[0] == 0.0
         if kind in ("fem1d-p1", "laplacian1d"):
             assert a.gershgorin()[0] == 0.0
+
+
+def _dominant_with_bare_rows(n, seed):
+    """A strictly diagonally dominant CSR matrix with mixed-sign entries off
+    the diagonal, where every seventh row has no off-diagonal entry.  Those
+    rows hold the largest diagonal entries, so ``c`` must lie strictly above
+    ``hi`` to keep ``s`` positive on them."""
+    m = _diagonally_dominant(n, seed).tolil()
+    top = m.diagonal().max()
+    for i in range(3, n, 7):
+        m[i, :] = 0.0
+        m[:, i] = 0.0
+        m[i, i] = top * (1.0 + i / n)
+    m = m.tocsr()
+    m.eliminate_zeros()
+    return m
+
+
+def _scaled_floor_reference(m, steps):
+    """The scaled-disc floor from the dense matrix, step for step."""
+    dense = m.toarray()
+    d = np.diag(dense)
+    off = np.abs(dense - np.diag(d))
+    s, best, c = np.ones(len(d)), -np.inf, None
+    for _ in range(steps):
+        radius = off @ s
+        best = max(best, (d - radius / s).min())
+        if c is None:
+            hi = (d + radius).max()
+            c = hi + (hi - best) / 64.0
+        s = (c - d) * s + radius
+        s /= s.max()
+    return best
+
+
+class TestScaledGershgorinFloor:
+    """The best Gershgorin bound of ``S^-1 A S`` over a few power steps on
+    the comparison matrix lies between A's Gershgorin lower end and its
+    smallest eigenvalue."""
+
+    @pytest.mark.parametrize("n,seed", [(20, 0), (35, 1), (50, 2), (65, 3), (80, 4)])
+    def test_between_gershgorin_and_lambda_min(self, n, seed):
+        from gcgeig.solver import _FLOOR_STEPS
+
+        m = _dominant_with_bare_rows(n, seed)
+        op = CsrOperator(m)
+        lo = op.gershgorin()[0]
+        floors = [op.scaled_gershgorin_floor(k) for k in (1, 4, _FLOOR_STEPS, 64)]
+        lam = np.linalg.eigvalsh(m.toarray())[0]
+        assert floors[0] == lo
+        assert 0.0 < lo < floors[1] <= floors[2] <= floors[3] <= lam
+
+    def test_m_matrix_tends_to_lambda_min(self):
+        """``tridiag(-1, 2.5, -1)`` is its own comparison matrix, so the
+        bound tends to its smallest eigenvalue.  A power step changes ``s``
+        one row further in from each end, so on n=12 the default steps
+        already reach the middle rows and lift the floor above 0.5."""
+        from gcgeig.solver import _FLOOR_STEPS
+
+        n = 12
+        op = CsrOperator(tridiag(n, -1.0, 2.5, -1.0))
+        lam = 2.5 - 2.0 * np.cos(np.pi / (n + 1))
+        floor = op.scaled_gershgorin_floor(_FLOOR_STEPS)
+        assert op.gershgorin()[0] == 0.5 < floor <= lam
+        assert lam - 1e-3 < op.scaled_gershgorin_floor(200) <= lam
+
+    def test_exact_on_a_diagonal_without_warnings(self):
+        """Point discs: the bound is the smallest entry, and no step divides
+        by a vanished ``s``."""
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            d = np.array([3.0, -1.5, 7.25, 0.5, 2.0])
+            assert CsrOperator(scipy.sparse.diags(d, format="csr")).scaled_gershgorin_floor(8) == -1.5
+            eye = CsrOperator(scipy.sparse.identity(6, format="csr"))
+            assert eye.scaled_gershgorin_floor(8) == 1.0
+
+    def test_row_blocks_and_empty_rows(self, monkeypatch):
+        """Rows read in several blocks, with empty rows inside and at the
+        end of a block, give the dense reference."""
+        m = _dominant_with_bare_rows(50, 7).tolil()
+        for i in (0, 4, 49):
+            m[i, :] = 0.0
+            m[:, i] = 0.0
+        m = m.tocsr()
+        m.eliminate_zeros()
+        monkeypatch.setattr(gcgeig.operators, "_GERSHGORIN_ROWS", 4)
+        for steps in (1, 3, 16):
+            np.testing.assert_allclose(
+                CsrOperator(m).scaled_gershgorin_floor(steps),
+                _scaled_floor_reference(m, steps), rtol=1e-12,
+            )

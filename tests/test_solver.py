@@ -750,17 +750,18 @@ def test_moving_run_stopped_early_reports_fewer_pairs():
     assert rep.residuals.shape == (30,) and rep.num_converged <= 30
 
 
-@pytest.mark.parametrize("moving,max_iters", [(False, 65), (True, 85)])
+@pytest.mark.parametrize("moving,max_iters", [(False, 40), (True, 55)])
 def test_gershgorin_floor_cuts_outer_iterations(moving, max_iters):
-    """clustered-random n=1000, ne=8: the spectrum sits in [1, 4] and the
-    Gershgorin lower end of A is 0.69.  With theta 0 until the first pair
-    locked, seed 1 took 78 iterations wide and 96 moving; shifted to the
-    Gershgorin floor from the first step, 54 and 71."""
+    """clustered-random n=1000, ne=8: the spectrum sits in [1, 4], the
+    Gershgorin lower end of A is 0.69 and its scaled-disc floor 0.93, under
+    lambda_1 = 0.96.  With theta 0 until the first pair locks, seed 1 takes
+    76 iterations wide and 92 moving; at the Gershgorin floor 53 and 69; at
+    the scaled-disc floor 32 and 44."""
     a, _ = generate_builtin("clustered-random", 1000, seed=3)
     rep = gcg_solve(a, config=SolverConfig(num_eigen=8, seed=1, moving=moving))
     assert rep.status == "converged" and rep.iterations <= max_iters
-    floor = a.gershgorin()[0]
-    assert floor > 0.0 and rep.history[0].theta == floor
+    floor = a.scaled_gershgorin_floor(gcgeig.solver._FLOOR_STEPS)
+    assert 0.0 < a.gershgorin()[0] < floor and rep.history[0].theta == floor
     ref = scipy.linalg.eigh(a.tocsr().toarray(), eigvals_only=True, subset_by_index=[0, 7])
     assert floor <= ref[0]
     np.testing.assert_allclose(rep.eigenvalues, ref, rtol=1e-10, atol=0)
@@ -778,6 +779,62 @@ def test_floor_at_the_lowest_eigenvalue_of_a_diagonal(moving):
     assert rep.status == "converged"
     np.testing.assert_allclose(rep.eigenvalues, np.arange(1.0, ne + 1.0), rtol=1e-10, atol=0)
     assert rep.residuals.max() < 1e-8
+
+
+@pytest.mark.parametrize("kind", ["clustered-random", "diag-range", "fem1d-p1"])
+def test_scaled_floor_leaves_the_float32_rule(monkeypatch, kind):
+    """The float32 rule reads the plain Gershgorin ``lo_A``: with the
+    floor's power steps cut to 1, which gives the plain floor ``lo_A /
+    hi_B``, ``single`` is the same.  diag-range keeps its exact floor 1, and
+    fem1d-p1 (``lo_A = 0``) keeps 0."""
+    rules = gcgeig.solver._gershgorin_rules
+    a, b = generate_builtin(kind, 600, seed=1)
+    tols = (0.0, 0.01, 0.012, 1.0)
+    scaled = [rules(a, b, rel_tol) for rel_tol in tols]
+    monkeypatch.setattr(gcgeig.solver, "_FLOOR_STEPS", 1)
+    plain = [rules(a, b, rel_tol) for rel_tol in tols]
+    assert [r[1] for r in scaled] == [r[1] for r in plain]
+    lo = a.gershgorin()[0]
+    hi_b = 1.0 if b is None else b.gershgorin()[1]
+    assert plain[0][0] == (lo / hi_b if lo > 0.0 else 0.0)
+    if kind == "clustered-random":
+        assert scaled[0][0] > plain[0][0]
+    else:
+        assert scaled[0][0] == plain[0][0] == {"diag-range": 1.0, "fem1d-p1": 0.0}[kind]
+
+
+@pytest.mark.parametrize("moving", [False, True])
+@pytest.mark.parametrize("kind", ["clustered", "clustered-b", "m-matrix", "diag-range"])
+def test_theta_before_the_first_lock_is_under_lambda_1(kind, moving):
+    """Until the first pair locks, every recorded theta is the solve's
+    floor and lies at or below lambda_1: on clustered-random alone and
+    with a diagonal B in [1, 2], on the M-matrix ``tridiag(-1, 2.5, -1)``,
+    whose floor the scaled discs lift above the Gershgorin 0.5, and on
+    diag-range, where it is lambda_1 = 1 itself."""
+    n, b = 400, None
+    if kind == "m-matrix":
+        n = 24   # within reach of the power steps from both ends
+        a = gcgeig.operators.CsrOperator(tridiag(n, -1.0, 2.5, -1.0))
+    elif kind == "diag-range":
+        a, _ = generate_builtin("diag-range", n, seed=0)
+    else:
+        a, _ = generate_builtin("clustered-random", n, seed=2)
+    if kind == "clustered-b":
+        b = scipy.sparse.diags(np.random.default_rng(0).uniform(1.0, 2.0, n), format="csr")
+    b_op = None if b is None else gcgeig.operators.as_operator(b)
+    floor = gcgeig.solver._gershgorin_rules(a, b_op, 0.01)[0]
+    rep = gcg_solve(a, b, SolverConfig(num_eigen=6, seed=1, moving=moving))
+    assert rep.status == "converged"
+    lam1 = scipy.linalg.eigh(
+        a.tocsr().toarray(), None if b is None else b.toarray(),
+        eigvals_only=True, subset_by_index=[0, 0],
+    )[0]
+    first_lock = next(i for i, h in enumerate(rep.history) if h.num_converged)
+    before = [h.theta for h in rep.history[:first_lock]]
+    assert before and set(before) == {floor}
+    assert 0.0 < floor <= lam1
+    if kind == "m-matrix":
+        assert floor > a.gershgorin()[0] == 0.5
 
 
 def test_single_precision_rule_reads_the_gershgorin_condition():
@@ -798,13 +855,13 @@ def test_single_precision_rule_reads_the_gershgorin_condition():
 
 @pytest.mark.parametrize("kind", ["clustered-random", "clustered-random-b", "fem1d-p1"])
 def test_one_gershgorin_read_and_one_inner_set_up_per_solve(monkeypatch, kind):
-    """A solve reads each CSR operator's Gershgorin bounds at most once, B's
-    only when A's interval starts above 0, and builds the band factor, or
-    failing that the diagonal scaling, once, before the first damped step
-    returns."""
+    """A solve reads each CSR operator's Gershgorin bounds at most once, and
+    B's, and A's scaled-disc floor, only when A's interval starts above 0.
+    It builds the band factor, or failing that the diagonal scaling, once,
+    before the first damped step returns."""
     events = []
     cls = gcgeig.operators.CsrOperator
-    for name in ("gershgorin", "band_solver", "diagonal_solver"):
+    for name in ("gershgorin", "scaled_gershgorin_floor", "band_solver", "diagonal_solver"):
         def counting(self, *args, _name=name, _inner=getattr(cls, name)):
             events.append((_name, self))
             return _inner(self, *args)
@@ -833,6 +890,8 @@ def test_one_gershgorin_read_and_one_inner_set_up_per_solve(monkeypatch, kind):
     assert events.count(("_damp", None)) > 1
     reads = [op for name, op in events if name == "gershgorin"]
     assert reads == ([a, b] if kind == "clustered-random-b" else [a])
+    floors = [op for name, op in events if name == "scaled_gershgorin_floor"]
+    assert floors == ([] if kind == "fem1d-p1" else [a])
     built = [(name, op) for name, op in events if name in ("band_solver", "diagonal_solver")]
     if kind == "fem1d-p1":
         assert built == [("band_solver", a)]

@@ -286,22 +286,19 @@ class DiagonalOperator(LinearOperator):
 
 
 class ShiftedOperator(LinearOperator):
-    """A - theta*B (or A - theta*I when B is None).
+    """A - theta*B (or A - theta*I when B is None), for the inner solves.
 
-    When A and B are both :class:`CsrOperator` and theta is nonzero, the
-    combination is assembled once into a single CSR matrix at construction,
-    so each apply is one sparse product instead of two plus an update.  Its
-    products then differ from the two-product form by rounding only.  Every
-    other combination applies A and B separately.
-
-    After ``assemble_single``, float32 blocks are applied with a float32
-    copy of the assembled combination; float64 blocks still take the
-    float64 products.
+    When A is a :class:`CsrOperator` and B a :class:`CsrOperator` or None,
+    the combination is assembled once, at construction, into one CSR matrix
+    held in ``dtype``, so each apply is one sparse product; at theta 0 in
+    float64 that matrix is A itself, not a copy.  Its products differ from
+    the two-product form by rounding only.  Dense, diagonal and user
+    operators keep applying A and B separately, in float64.
     """
 
     kind = "shifted-combination"
 
-    def __init__(self, a, b=None, theta=0.0):
+    def __init__(self, a, b=None, theta=0.0, dtype=np.float64):
         if b is not None and b.dim != a.dim:
             raise InvalidShape(f"operator dims differ: {a.dim} vs {b.dim}")
         super().__init__(a.dim)
@@ -309,23 +306,15 @@ class ShiftedOperator(LinearOperator):
         self.b = b
         self.theta = float(theta)
         self._assembled = None
-        if self.theta != 0.0 and isinstance(a, CsrOperator) and isinstance(b, CsrOperator):
-            self._assembled = CsrOperator._trusted(a._sp - self.theta * b._sp)
-        self._single = None
-
-    def assemble_single(self):
-        """Assemble ``A - theta*B``, or ``A - theta*I`` without B, in float32
-        for the float32 blocks; A must be CSR, and B CSR or None."""
-        if self._assembled is not None:
-            sp = self._assembled._sp
-        else:
-            b = scipy.sparse.identity(self.dim, format="csr") if self.b is None else self.b._sp
-            sp = self.a._sp - self.theta * b
-        self._single = CsrOperator._trusted(sp.astype(np.float32))
+        if isinstance(a, CsrOperator) and isinstance(b, (CsrOperator, type(None))):
+            sp = a._sp
+            if self.theta != 0.0:
+                b_sp = scipy.sparse.identity(self.dim, format="csr") if b is None else b._sp
+                sp = sp - self.theta * b_sp
+            sp = sp.astype(dtype, copy=False)
+            self._assembled = a if sp is a._sp else CsrOperator._trusted(sp)
 
     def apply(self, x, out=None):
-        if self._single is not None and x.dtype == np.float32:
-            return self._single.apply(x, out=out)
         if self._assembled is not None:
             return self._assembled.apply(x, out=out)
         out = self.a.apply(x, out=out)

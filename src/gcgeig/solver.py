@@ -16,9 +16,11 @@ spanned by ``[X, P, W]``:
 * W is a damped inverse power update: a few CG sweeps on
   ``(A - theta*B) W = B X (Lambda - theta)``, run for the correction
   ``W - X``, which the basis keeps, from zero against the residual ``-R =
-  B X Lambda - A X`` of X, taken in float64 (``_damp``).  The sweeps run in
-  float32 where the Gershgorin bounds of CSR matrices A and B prove it safe
-  (``_gershgorin_rules``), and in float64 otherwise.  Once a pair is
+  B X Lambda - A X`` of X, taken in float64 from A and B (``_damp``).  The
+  sweeps run in float32 where the Gershgorin bounds of CSR matrices A and B
+  prove it safe (``_gershgorin_rules``), and in float64 otherwise; a CSR A
+  with a CSR B or none gets ``A - theta*B`` assembled once per theta, in
+  the sweeps' precision (``ShiftedOperator``).  Once a pair is
   locked, a CG column that freezes on a nonpositive curvature returns the
   iterate with its smallest residual, not the overshoot of its last step;
   one that would return the zero start returns its first preconditioned
@@ -374,10 +376,10 @@ def _check_b_definite(b_op, sx, seed):
         )
 
 
-def _stagnation_flag(history, window):
-    if window <= 0 or len(history) < window:
+def _stagnation_flag(history):
+    if len(history) < _STALL_WINDOW:
         return False
-    tail = history[-window:]
+    tail = history[-_STALL_WINDOW:]
     if tail[-1].num_converged != tail[0].num_converged:
         return False
     r0 = tail[0].first_unconverged_residual
@@ -414,8 +416,7 @@ class _Window:
     nw: int = 0
     ritz: bool = False                  # X holds Ritz vectors: project structurally
     p_coupling: np.ndarray | None = None    # phat' Abar phat, the next P block
-    shift_op: object = None             # inner-solve operator, rebuilt per theta
-    shift_theta: float | None = None
+    shift_op: ShiftedOperator | None = None   # inner-solve operator, rebuilt per theta
 
     def deflation(self):
         """What W is kept B-orthogonal to: the stored pairs, X and P."""
@@ -561,17 +562,20 @@ def _damp(win, a, b_op, width, theta, cfg, plan):
     preconditioned as the solve's ``plan`` from ``_inner_plan`` says: by
     the band solve with ``_precond``'s projection, by the diagonal scaling,
     or not at all.  They run for the correction ``W - X`` from zero against
-    X's residual ``B X (Lambda - theta) - (A - theta*B) X``, taken in
-    float64.  The W slot gets that correction: it spans the same
+    X's residual ``B X (Lambda - theta) - (A - theta*B) X``, in which theta
+    cancels: it is taken as ``B X Lambda - A X``, in float64, from the
+    solve's own A and B.  The W slot gets that correction: it spans the same
     ``[X, P, W]``, and loses less of its norm to the deflation against X
     than W does, so ``orth_against`` repeats its deflation pass, and runs
-    its post pass, less often.
+    its post pass, less often.  ``A - theta*B`` serves CG alone: one
+    ``ShiftedOperator`` per theta, in CG's precision.
 
     When the plan's ``single`` is set the residual is rounded to float32
-    and CG runs in float32, with ``A - theta*B`` assembled in float32; its
-    rounding then scales with the residual, not with X.  At ``theta`` on an
-    eigenvalue a float32 curvature can be pure rounding, and the step it
-    gives overflows, so a column freezes once its curvature is at or below
+    and CG runs in float32, with ``A - theta*B`` assembled in float32 and
+    no float64 copy beside it; its rounding then scales with the residual,
+    not with X.  At ``theta`` on an eigenvalue a float32 curvature can be
+    pure rounding, and the step it gives overflows, so a column freezes
+    once its curvature is at or below
     ``2**-24 * (hi_A + |theta| * hi_B)`` times ``p'p``, the rounding of
     ``p' (A - theta*B) p``.  Orthogonalization, Rayleigh-Ritz and the
     residual test stay float64.
@@ -591,20 +595,15 @@ def _damp(win, a, b_op, width, theta, cfg, plan):
     if band is not None:
         precond = _precond(win, b_op, band)
     lo = win.locked
+    if win.shift_op is None or win.shift_op.theta != theta:
+        win.shift_op = None   # free the old assembled matrix first
+        dtype = np.float64 if single is None else np.float32
+        win.shift_op = ShiftedOperator(a, b_op, theta, dtype)
     x_act = np.asfortranarray(win.v[:, lo : lo + width])
     bx_act = b_op.apply(x_act) if b_op is not None else x_act
-    if theta != win.shift_theta:
-        win.shift_op = None   # free the old assembled matrices first
-        if theta == 0.0 and single is None:
-            win.shift_op = a
-        else:
-            win.shift_op = ShiftedOperator(a, b_op, theta)
-            if single is not None:
-                win.shift_op.assemble_single()
-        win.shift_theta = theta
-    r0 = np.asfortranarray(bx_act * (win.lam[lo : lo + width] - theta))
-    del bx_act   # free B X before the shifted product allocates
-    r0 -= win.shift_op.apply(x_act)
+    r0 = np.asfortranarray(bx_act * win.lam[lo : lo + width])
+    del bx_act   # free B X before the product with A allocates
+    r0 -= a.apply(x_act)
     start = win.sx + win.np_
     w_slot = win.v[:, start : start + width]
     best, floor = w_slot, 0.0
@@ -776,7 +775,7 @@ def gcg_solve(a, b=None, config=None):
         iterations=len(history),
         residuals=residuals[order],
         history=history,
-        stagnated=_stagnation_flag(history, _STALL_WINDOW),
+        stagnated=_stagnation_flag(history),
         max_projection_dim=max(rec.basis_size for rec in history),
         total_reductions=start_red + sum(rec.orth_reductions for rec in history),
     )

@@ -227,22 +227,23 @@ def test_float32_sweeps_against_the_float64_reference(seed, shift):
     admits (``kappa_G = hi / lo`` about 5): ``A - theta*I`` at theta 0 or at
     the Gershgorin floor, assembled in float32, a zero start, a float32
     right-hand side, scaling by a float32 1/diag, the curvature floor of
-    float32 and cg_rel_tol 0.01.  The float64 reference takes the same
-    sweeps and stops every column the same way; the solution and the
-    relative residuals agree within ``4 * kappa_G * 2**-24`` relative (the
-    largest measured is 0.6 of ``kappa_G * 2**-24``)."""
+    float32 and cg_rel_tol 0.01.  The float64 reference, on the same
+    combination assembled in float64, takes the same sweeps and stops
+    every column the same way; the solution and the relative residuals
+    agree within ``4 * kappa_G * 2**-24`` relative (the largest measured is
+    0.6 of ``kappa_G * 2**-24``)."""
     a, _ = generate_builtin("clustered-random", 200, seed=seed)
     lo, hi = a.gershgorin()
     theta = lo if shift == "floor" else 0.0
-    op = ShiftedOperator(a, None, theta)
-    op.assemble_single()
+    op = ShiftedOperator(a, None, theta, dtype=np.float32)
+    op64 = ShiftedOperator(a, None, theta, dtype=np.float64)
     rhs = np.asfortranarray(np.random.default_rng(seed).standard_normal((200, 6)))
     diag = a.tocsr().diagonal()
     x, rep = block_cg(
         op, rhs.astype(np.float32), rel_tol=0.01, precond=_jacobi(diag, np.float32),
         curvature_floor=2.0**-24 * (hi + theta),
     )
-    x_ref, ref = reference_block_cg(op, rhs, rel_tol=0.01, precond=_jacobi(diag))
+    x_ref, ref = reference_block_cg(op64, rhs, rel_tol=0.01, precond=_jacobi(diag))
     assert x.dtype == np.float32 and ref.converged.any()
     _assert_same_outcome(rep, ref)
     bound = 4.0 * (hi / lo) * 2.0**-24

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -165,8 +167,9 @@ class TestAsOperator:
 
 
 class TestShiftedAssembly:
-    """A - theta*B is assembled into one CSR matrix when A and B are both
-    CSR; every other combination keeps applying A and B separately."""
+    """A - theta*B, or A - theta*I, is assembled into one CSR matrix in the
+    operator's dtype when A is CSR and B is CSR or None; every other
+    combination keeps applying A and B separately."""
 
     @staticmethod
     def _csr_pair(rng, n=40):
@@ -196,13 +199,12 @@ class TestShiftedAssembly:
         op.apply = apply
         return calls
 
-    def test_csr_pair_is_one_product(self, rng):
-        a, b = self._csr_pair(rng)
+    def _assert_one_product(self, rng, a, b, theta):
         x = np.asfortranarray(rng.standard_normal((a.dim, 3)))
-        theta = 1.7
         expect = self._two_products(a, b, theta, x)
         op = ShiftedOperator(a, b, theta)
-        a_calls, b_calls = self._counting(a), self._counting(b)
+        a_calls = self._counting(a)
+        b_calls = self._counting(b) if b is not None else []
         got = op.apply(x)
         assert a_calls == [] and b_calls == []
         scale = float(np.abs(expect).max())
@@ -211,12 +213,54 @@ class TestShiftedAssembly:
         assert op.apply(x, out=out) is out
         np.testing.assert_array_equal(out, got)
 
-    def test_zero_shift_applies_a_alone(self, rng):
+    def test_csr_pair_is_one_product(self, rng):
         a, b = self._csr_pair(rng)
-        x = np.asfortranarray(rng.standard_normal((a.dim, 2)))
-        np.testing.assert_array_equal(ShiftedOperator(a, b, 0.0).apply(x), a.apply(x))
+        self._assert_one_product(rng, a, b, 1.7)
 
-    @pytest.mark.parametrize("kind", ["dense-diag", "dense-dense", "csr-diag", "csr-none"])
+    def test_csr_alone_is_one_product(self, rng):
+        a, _ = self._csr_pair(rng, 30)
+        self._assert_one_product(rng, a, None, -0.9)
+
+    @pytest.mark.parametrize("theta", [1.7, 0.0])
+    @pytest.mark.parametrize("partner", ["pair", "alone"])
+    def test_float32_against_the_float64_product(self, rng, partner, theta):
+        """In float32 the one product takes a float32 block to a float32
+        block within float32 rounding of the float64 two-product form: each
+        entry of the assembled matrix rounds once, and each row sums at
+        most k terms, so entry i is off by at most ``(k + 2) * 2**-24`` times
+        ``(|A| |x| + |theta| |B| |x|)_i``."""
+        a, b = self._csr_pair(rng)
+        if partner == "alone":
+            b = None
+        x = np.asfortranarray(rng.standard_normal((a.dim, 3)), dtype=np.float32)
+        op = ShiftedOperator(a, b, theta, dtype=np.float32)
+        a_calls = self._counting(a)
+        b_calls = self._counting(b) if b is not None else []
+        out = np.empty(x.shape, np.float32, order="F")
+        assert op.apply(x, out=out) is out
+        assert a_calls == [] and b_calls == []
+        x64 = x.astype(np.float64)
+        expect = self._two_products(a, b, theta, x64)
+        b_abs = scipy.sparse.identity(a.dim, format="csr") if b is None else abs(b.tocsr())
+        k = int(np.diff((abs(a.tocsr()) + b_abs).indptr).max())
+        mag = abs(a.tocsr()) @ np.abs(x64) + abs(theta) * (b_abs @ np.abs(x64))
+        assert (np.abs(out - expect) <= (k + 2) * 2.0**-24 * mag).all()
+
+    def test_zero_shift_applies_a_alone(self, rng):
+        """At theta 0 in float64 the operator applies A's own matrix:
+        building it copies nothing of A, and each apply is A's product."""
+        a, b = self._csr_pair(rng, 400)
+        x = np.asfortranarray(rng.standard_normal((a.dim, 2)))
+        tracemalloc.start()
+        op = ShiftedOperator(a, b, 0.0)
+        built, _ = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert built < a.tocsr().data.nbytes
+        a_calls, b_calls = self._counting(a), self._counting(b)
+        np.testing.assert_array_equal(op.apply(x), a.apply(x))
+        assert a_calls == [2, 2] and b_calls == []
+
+    @pytest.mark.parametrize("kind", ["dense-diag", "dense-dense", "csr-diag"])
     def test_other_paths_bit_identical(self, rng, kind):
         n = 30
         a_mat = spd_dense(rng, n)
@@ -226,7 +270,6 @@ class TestShiftedAssembly:
             "dense-diag": (DenseOperator(a_mat), DiagonalOperator(d)),
             "dense-dense": (DenseOperator(a_mat), DenseOperator(np.diag(d))),
             "csr-diag": (csr, DiagonalOperator(d)),
-            "csr-none": (csr, None),
         }[kind]
         x = np.asfortranarray(rng.standard_normal((n, 4)))
         theta = -0.9
@@ -244,16 +287,16 @@ def test_solver_builds_one_shifted_operator_per_theta(monkeypatch):
     built = []
 
     class Counting(ShiftedOperator):
-        def __init__(self, a, b=None, theta=0.0):
+        def __init__(self, a, b=None, theta=0.0, dtype=np.float64):
             built.append(theta)
-            super().__init__(a, b, theta)
+            super().__init__(a, b, theta, dtype)
 
     monkeypatch.setattr(gcgeig.solver, "ShiftedOperator", Counting)
     a, b = generate_builtin("fem1d-p1", 200, seed=0)
     rep = gcg_solve(a, b, SolverConfig(num_eigen=6, tol=1e-8, seed=3))
     assert rep.status == "converged"
-    thetas = [h.theta for h in rep.history if h.cg_iterations > 0 and h.theta != 0.0]
-    assert len(set(thetas)) >= 2
+    thetas = [h.theta for h in rep.history if h.cg_iterations > 0]
+    assert len(set(thetas) - {0.0}) >= 2
     assert built == sorted(set(thetas))
 
 

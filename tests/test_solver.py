@@ -578,6 +578,34 @@ def _recording_rhs_dtypes(monkeypatch):
     return seen
 
 
+def _recording_operators(monkeypatch):
+    """Wrap the solver's block_cg; returns the operators it is handed, each
+    once, in the order of their first use."""
+    seen, inner = [], gcgeig.solver.block_cg
+
+    def block_cg(op, *args, **kwargs):
+        if not any(op is s for s in seen):
+            seen.append(op)
+        return inner(op, *args, **kwargs)
+
+    monkeypatch.setattr(gcgeig.solver, "block_cg", block_cg)
+    return seen
+
+
+def _held_matrices(op):
+    """The sparse matrices a shifted operator holds beside the solve's own
+    A and B, which it keeps as ``a`` and ``b``."""
+    held = []
+    for value in vars(op).values():
+        if value is op.a or value is op.b:
+            continue
+        if isinstance(value, gcgeig.operators.CsrOperator):
+            value = value.tocsr()
+        if scipy.sparse.issparse(value):
+            held.append(value)
+    return held
+
+
 def _assert_diagonal_scaling(seen, diag, dtype=np.float64):
     """Every preconditioner the solve handed CG is the one scaling by
     1/diag, built once, with 1/diag held in ``dtype``, the precision of the
@@ -919,9 +947,12 @@ def test_one_gershgorin_read_and_one_inner_set_up_per_solve(monkeypatch, kind):
 def test_clustered_random_solves_cg_in_float32(monkeypatch, moving, generalized):
     """clustered-random n=600, ne=40, alone or with a diagonal B whose
     entries lie in [1, 2]: every inner solve is float32, scaled by a
-    float32 1/diag(A), and the pairs are eigh's to 1e-12."""
+    float32 1/diag(A), on an operator that holds one matrix, A - theta*B
+    in float32, and no float64 copy beside it; the pairs are eigh's to
+    1e-12."""
     pre = _recording_block_cg(monkeypatch)
     dtypes = _recording_rhs_dtypes(monkeypatch)
+    ops = _recording_operators(monkeypatch)
     a, _ = generate_builtin("clustered-random", 600, seed=2)
     b = None
     if generalized:
@@ -930,6 +961,9 @@ def test_clustered_random_solves_cg_in_float32(monkeypatch, moving, generalized)
     rep = gcg_solve(a, b, SolverConfig(num_eigen=ne, seed=1, moving=moving))
     assert dtypes and set(dtypes) == {np.dtype(np.float32)}
     _assert_diagonal_scaling(pre, a.diagonal(), np.float32)
+    for op in ops:
+        held = _held_matrices(op)
+        assert len(held) == 1 and held[0].dtype == np.float32
     assert rep.status == "converged" and rep.residuals.max() < 1e-8
     ref = scipy.linalg.eigh(
         a.tocsr().toarray(), None if b is None else b.toarray(),

@@ -16,32 +16,33 @@ spanned by ``[X, P, W]``:
 * W is a damped inverse power update: a few CG sweeps on
   ``(A - theta*B) W = B X (Lambda - theta)``, run for the correction
   ``W - X``, which the basis keeps, from zero against the residual ``-R =
-  B X Lambda - A X`` of X, taken in float64 from A and B (``_damp``).  The
-  sweeps run in float32 where the Gershgorin bounds of CSR matrices A and B
-  prove it safe (``_gershgorin_rules``), and in float64 otherwise; a CSR A
-  with a CSR B or none gets ``A - theta*B`` assembled once per theta, in
-  the sweeps' precision (``ShiftedOperator``).  Once a pair is
+  B X Lambda - A X`` of X, taken in float64 from A and B (``_damp``); a
+  CSR A with a CSR B or none gets ``A - theta*B`` assembled once per
+  theta, in the sweeps' precision (``ShiftedOperator``).  Once a pair is
   locked, a CG column that freezes on a nonpositive curvature returns the
   iterate with its smallest residual, not the overshoot of its last step;
   one that would return the zero start returns its first preconditioned
-  residual.  The
-  "dynamic" theta is the largest converged eigenvalue so far; before any
-  converges it is a floor under the spectrum, or 10% below the lowest Ritz
-  value when that is negative, so an indefinite A still draws the step to
-  the bottom of its spectrum and not to the eigenvalues nearest 0.  The
-  floor and the float32 rule both come from one read of the Gershgorin
-  intervals of CSR matrices A and B at the start of a solve.  The floor is
-  positive only when A's lies above 0, and every other input gets 0.  It
-  is then ``lo_A / hi_B``, with A's lower end ``lo_A`` raised to the best
-  Gershgorin bound of ``S^-1 A S`` over a few positive diagonals ``S``
+  residual.  The "dynamic" theta is the largest converged eigenvalue so
+  far; before any converges it is a floor under the spectrum, or 10% below
+  the lowest Ritz value when that is negative, so an indefinite A still
+  draws the step to the bottom of its spectrum and not to the eigenvalues
+  nearest 0.  Shift "none" keeps 0.
+
+  The floor, CG's preconditioner and its precision are set up in one
+  place, once per solve, after the first convergence check
+  (``_inner_setup``).  Only a CSR A has any: every other A gets a floor of
+  0 and plain CG in float64.  One read of the Gershgorin intervals of A
+  and of a CSR B or none gives the floor and the precision.  The floor is
+  positive only when A's interval lies above 0; it is then ``lo_A /
+  hi_B``, with A's lower end ``lo_A`` raised to the best Gershgorin bound
+  of ``S^-1 A S`` over a few positive diagonals ``S``
   (``CsrOperator.scaled_gershgorin_floor``): each such matrix has A's
   eigenvalues, so the floor stays under lambda_1 and starts the damped
-  step much nearer to it.  Shift "none" keeps 0.  When A is a CSR matrix,
-  CG is preconditioned, as one plan built at the first damped step says
-  (``_inner_plan``): by A's band Cholesky factor, with the locked pairs
-  projected out (``_precond``), when the factor takes no more room than A
-  and exists; else by ``1 / diag(A)`` when that diagonal is positive.
-  Every other A gets plain CG.
+  step much nearer to it.  CG is preconditioned by A's band Cholesky
+  factor, with the locked pairs projected out, when the factor takes no
+  more room than A and exists; else by ``1 / diag(A)`` when that diagonal
+  is positive.  Without a band factor the sweeps run in float32 where the
+  Gershgorin bounds prove it safe, and in float64 otherwise.
 
 The projected matrix is assembled structurally - the X block is the
 diagonal of Ritz values, the X-P block vanishes by construction, the P
@@ -126,7 +127,7 @@ _U32 = 2.0 ** -24
 # (494 -> 540 at ne=40) for times within the noise.  Every eigenvalue stayed
 # within 3.2e-15 of eigh.
 _GUARD_COLS = 16
-# Vectors s of the scaled Gershgorin floor (_gershgorin_rules), one read of A
+# Vectors s of the scaled Gershgorin floor (_inner_setup), one read of A
 # each; 1 is the plain Gershgorin floor.  clustered-random n=2000, wide unless
 # marked: the floor at seed 1, then outer iterations and wall time summed
 # over seeds 0-9 (ne=200, best of 2) or 1-5 (best of 3), the step counts
@@ -226,9 +227,9 @@ def select_shift(mode, lam, num_locked, floor=0.0):
     """Damping shift: the largest eigenvalue locked so far.  Before any is
     locked, ``floor``, or 10% below the lowest Ritz value when that is
     negative.  ``floor`` is a lower bound on the spectrum: a solve passes
-    ``_gershgorin_rules``' scaled-disc bound, which is 0 unless A is a CSR
-    matrix whose Gershgorin interval starts above 0.  Mode "none" always
-    returns 0."""
+    the scaled-disc bound of its ``_inner_setup``, which is 0 unless A is a
+    CSR matrix whose Gershgorin interval starts above 0.  Mode "none"
+    always returns 0."""
     if mode not in _SHIFT_MODES:
         raise InvalidShape(f"unknown shift mode {mode!r}")
     if mode == "none":
@@ -239,92 +240,42 @@ def select_shift(mode, lam, num_locked, floor=0.0):
     return float(lam[num_locked - 1])
 
 
-def _gershgorin_rules(a, b_op, rel_tol):
-    """``(floor, single)`` from one read of the Gershgorin intervals
-    ``(lo_A, hi_A)`` of a CSR matrix A and ``(lo_B, hi_B)`` of a CSR matrix
-    B, taken as ``(1, 1)`` without B.  B is read only when ``lo_A > 0``:
-    neither rule has a use for it otherwise.
-
-    * ``floor`` is a positive lower bound on the eigenvalues of ``(A, B)``,
-      ``lo_S / hi_B``, since ``x'Ax >= lo_S x'x`` and ``x'Bx <= hi_B x'x``.
-      ``lo_S`` is ``CsrOperator.scaled_gershgorin_floor``: the Gershgorin
-      lower end of ``S^-1 A S`` for the best of ``_FLOOR_STEPS`` positive
-      diagonals ``S``, one read of A each.  Each ``S^-1 A S`` has A's
-      eigenvalues, so ``lo_S <= lambda_min(A)``; the first ``S`` is I, so
-      ``lo_S >= lo_A``.  On a diagonal A, whose discs are points, it is
-      ``lo_A`` itself, and with ``lo_A <= 0`` it is never computed.
-    * ``single`` is ``(hi_A, hi_B)`` when the inner CG may run in float32:
-      ``lo_B > 0`` as well, and ``kappa_G = (hi_A / lo_A) * (hi_B / lo_B)``,
-      a bound on the condition of the pencil, keeps float32's rounding
-      amplified by it a hundred times below the inner tolerance:
-      ``kappa_G * 2**-24 <= rel_tol / 100`` (README, "Precision of the
-      damped step").  It reads the plain ``lo_A``, so the scaled floor
-      changes no precision decision.
-
-    Every other input gets ``(0.0, None)``."""
-    if not isinstance(a, CsrOperator) or not isinstance(b_op, (CsrOperator, type(None))):
-        return 0.0, None
-    lo_a, hi_a = a.gershgorin()
-    if not lo_a > 0.0:
-        return 0.0, None
-    lo_b, hi_b = (1.0, 1.0) if b_op is None else b_op.gershgorin()
-    floor = a.scaled_gershgorin_floor(_FLOOR_STEPS) / hi_b if hi_b > 0.0 else 0.0
-    if lo_b > 0.0 and (hi_a / lo_a) * (hi_b / lo_b) * _U32 <= rel_tol / 100.0:
-        return floor, (hi_a, hi_b)
-    return floor, None
-
-
-def _rel_residual(ax_j, x_j, bx_j, lam_j, generalized):
-    if generalized:
-        r = ax_j - lam_j * bx_j
-        xbx = float(x_j @ bx_j)
-        denom = math.sqrt(max(xbx, 0.0))
-        if lam_j > 0.0:
-            denom *= lam_j
-    else:
-        r = ax_j - lam_j * x_j
-        denom = math.sqrt(float(x_j @ x_j))
-    if denom == 0.0:
-        denom = 1.0
-    return math.sqrt(float(r @ r)) / denom
-
-
-def _residuals(a, b_op, blocks, lam, quotients=False):
-    """Relative residual of each column of the column blocks ``blocks``,
-    taken in order, against the values ``lam``.  With ``quotients`` each
-    value is first overwritten by its column's Rayleigh quotient
-    ``x'Ax / x'Bx``.  A and B are applied one block at a time as the blocks
-    are drawn, so a caller that stops early stops the operator applications
-    too."""
-    done = 0
-    for xc in blocks:
-        axc = a.apply(xc)
-        bxc = b_op.apply(xc) if b_op is not None else xc
-        for j in range(xc.shape[1]):
-            if quotients:
-                lam[done + j] = float(xc[:, j] @ axc[:, j]) / float(xc[:, j] @ bxc[:, j])
-            yield _rel_residual(
-                axc[:, j], xc[:, j], bxc[:, j], float(lam[done + j]), b_op is not None
-            )
-        done += xc.shape[1]
+def _residuals(a, b_op, x, lam=None):
+    """Relative residuals of the columns of the block ``x`` against the
+    values ``lam``: ``|Ax - lam x| / |x|`` for a standard problem and
+    ``|Ax - lam Bx| / (lam |x|_B)`` for a generalized one, where a ``lam``
+    at or below 0 gets the absolute ``|Ax - lam Bx| / |x|_B``.  A zero
+    denominator counts as 1.  With ``lam=None`` the values are the
+    columns' Rayleigh quotients ``x'Ax / x'Bx``, and ``(residuals,
+    quotients)`` is returned.  What A and B return is only read."""
+    ax = a.apply(x)
+    bx = b_op.apply(x) if b_op is not None else x
+    xbx = np.einsum("ij,ij->j", x, bx)
+    quotients = lam is None
+    if quotients:
+        lam = np.einsum("ij,ij->j", x, ax) / xbx
+    r = bx * lam
+    r -= ax
+    denom = np.sqrt(np.maximum(xbx, 0.0))
+    if b_op is not None:
+        denom *= np.where(lam > 0.0, lam, 1.0)
+    rel = np.sqrt(np.einsum("ij,ij->j", r, r)) / np.where(denom == 0.0, 1.0, denom)
+    return (rel, lam) if quotients else rel
 
 
 def _count_converged(a, b_op, basis, dec, limit, chunk, tol):
     """Length of the converged prefix of the new Ritz block ``basis @
     dec.vectors``, and the residual of the first column that failed (0.0
-    if none did).  The Ritz vectors are formed ``chunk`` columns at a time,
-    as the check reaches them."""
-    def ritz_blocks():
-        for start in range(0, limit, chunk):
-            coeffs = dec.vectors[:, start : min(start + chunk, limit)]
-            yield np.matmul(basis, coeffs, out=mv_new(basis.shape[0], coeffs.shape[1]))
-
-    count = 0
-    for rel in _residuals(a, b_op, ritz_blocks(), dec.values):
-        if not rel < tol:
-            return count, rel
-        count += 1
-    return count, 0.0
+    if none did).  The Ritz vectors are formed, and A and B applied to
+    them, ``chunk`` columns at a time, up to the chunk that fails."""
+    for start in range(0, limit, chunk):
+        coeffs = dec.vectors[:, start : min(start + chunk, limit)]
+        x = np.matmul(basis, coeffs, out=mv_new(basis.shape[0], coeffs.shape[1]))
+        rel = _residuals(a, b_op, x, dec.values[start : start + coeffs.shape[1]])
+        failed = np.flatnonzero(~(rel < tol))
+        if failed.size:
+            return start + int(failed[0]), float(rel[failed[0]])
+    return limit, 0.0
 
 
 def _build_p(full, d, group_start, group_width):
@@ -522,55 +473,78 @@ def _lock_and_momentum(win, basis, full, c, group):
     win.lock(basis, full.values[:d], c, *blocks)
 
 
-def _inner_plan(a, single):
-    """How the inner CG is preconditioned, as ``(band, scale, single)``.  A
-    CSR matrix A gets its band Cholesky solve ``band`` when
-    ``CsrOperator.band_solver`` builds one.  Otherwise it gets the scaling
-    ``scale`` by ``1 / diag(A)`` when ``CsrOperator.diagonal_solver`` builds
-    one, held in float32 when ``single``, the float32 rule of
-    ``_gershgorin_rules``, admits the problem, and the plan keeps
-    ``single`` for ``_damp``.  Every other A gets plain CG in float64."""
+def _inner_setup(a, b_op, win, rel_tol):
+    """The inner solve's set-up, ``(floor, precond, single)``, made once per
+    solve.  Only a CSR matrix A has any: every other A gets ``(0.0, None,
+    None)``, plain CG in float64 from theta 0.
+
+    * ``floor`` and ``single`` come from one read of the Gershgorin
+      intervals ``(lo_A, hi_A)`` of A and ``(lo_B, hi_B)`` of a CSR matrix
+      B, taken as ``(1, 1)`` without B; any other B leaves both unset.  B
+      is read only when ``lo_A > 0``: neither has a use for it otherwise.
+    * ``floor`` is a positive lower bound on the eigenvalues of ``(A, B)``,
+      ``lo_S / hi_B``, since ``x'Ax >= lo_S x'x`` and ``x'Bx <= hi_B x'x``.
+      ``lo_S`` is ``CsrOperator.scaled_gershgorin_floor``: the Gershgorin
+      lower end of ``S^-1 A S`` for the best of ``_FLOOR_STEPS`` positive
+      diagonals ``S``, one read of A each.  Each ``S^-1 A S`` has A's
+      eigenvalues, so ``lo_S <= lambda_min(A)``; the first ``S`` is I, so
+      ``lo_S >= lo_A``.  On a diagonal A, whose discs are points, it is
+      ``lo_A`` itself, and with ``lo_A <= 0`` it is never computed.
+    * ``precond`` is A's band Cholesky solve when
+      ``CsrOperator.band_solver`` builds one, followed by a B-orthogonal
+      projection against the locked pairs ``win.v[:, :win.locked]``, read
+      when it is called: ``A - theta*B`` is not positive definite on their
+      span.  Otherwise it is the scaling by ``1 / diag(A)`` when
+      ``CsrOperator.diagonal_solver`` builds one, in CG's precision, with
+      no projection: its solves converge without one, and on the moving
+      window, whose locked prefix holds the whole store, the projection
+      cost more than the scaling saved.
+    * ``single`` is ``(hi_A, hi_B)`` when the inner CG may run in float32:
+      A has no band factor, ``lo_B > 0`` as well, and ``kappa_G = (hi_A /
+      lo_A) * (hi_B / lo_B)``, a bound on the condition of the pencil,
+      keeps float32's rounding amplified by it a hundred times below the
+      inner tolerance: ``kappa_G * 2**-24 <= rel_tol / 100`` (README,
+      "Precision of the damped step").  It reads the plain ``lo_A``, so the
+      scaled floor changes no precision decision."""
     if not isinstance(a, CsrOperator):
-        return None, None, None
+        return 0.0, None, None
+    floor, single = 0.0, None
+    if isinstance(b_op, (CsrOperator, type(None))):
+        lo_a, hi_a = a.gershgorin()
+        if lo_a > 0.0:
+            lo_b, hi_b = (1.0, 1.0) if b_op is None else b_op.gershgorin()
+            floor = a.scaled_gershgorin_floor(_FLOOR_STEPS) / hi_b if hi_b > 0.0 else 0.0
+            if lo_b > 0.0 and (hi_a / lo_a) * (hi_b / lo_b) * _U32 <= rel_tol / 100.0:
+                single = (hi_a, hi_b)
     band = a.band_solver()
-    if band is not None:
-        return band, None, None
-    return None, a.diagonal_solver(np.float64 if single is None else np.float32), single
+    if band is None:
+        return floor, a.diagonal_solver(np.float64 if single is None else np.float32), single
 
-
-def _precond(win, b_op, solve):
-    """A's band solve ``solve`` followed by a B-orthogonal projection
-    against the locked pairs, on whose span ``A - theta*B`` is not positive
-    definite.  The diagonal scaling has no such projection: its solves
-    converge without one, and on the moving window, whose locked prefix
-    holds the whole store, the projection cost more than the scaling
-    saved."""
-    q = win.v[:, : win.locked]
-
-    def apply(r, out):
-        out[...] = solve(r)
+    def precond(r, out):
+        out[...] = band(r)
+        q = win.v[:, : win.locked]
         if q.shape[1]:
             bz = b_op.apply(out) if b_op is not None else out
             out -= q @ (q.T @ bz)
 
-    return apply
+    return floor, precond, None
 
 
-def _damp(win, a, b_op, width, theta, cfg, plan):
+def _damp(win, a, b_op, width, theta, cfg, precond, single):
     """The damped inverse power block: a few CG sweeps on
     ``(A - theta*B) W = B X (Lambda - theta)`` for the active X,
-    preconditioned as the solve's ``plan`` from ``_inner_plan`` says: by
-    the band solve with ``_precond``'s projection, by the diagonal scaling,
-    or not at all.  They run for the correction ``W - X`` from zero against
-    X's residual ``B X (Lambda - theta) - (A - theta*B) X``, in which theta
-    cancels: it is taken as ``B X Lambda - A X``, in float64, from the
-    solve's own A and B.  The W slot gets that correction: it spans the same
-    ``[X, P, W]``, and loses less of its norm to the deflation against X
-    than W does, so ``orth_against`` repeats its deflation pass, and runs
-    its post pass, less often.  ``A - theta*B`` serves CG alone: one
-    ``ShiftedOperator`` per theta, in CG's precision.
+    preconditioned by the solve's ``precond`` and in the precision its
+    ``single`` says, both from ``_inner_setup``.  They run for the
+    correction ``W - X`` from zero against X's residual ``B X (Lambda -
+    theta) - (A - theta*B) X``, in which theta cancels: it is taken as ``B
+    X Lambda - A X``, in float64, from the solve's own A and B.  The W slot
+    gets that correction: it spans the same ``[X, P, W]``, and loses less
+    of its norm to the deflation against X than W does, so ``orth_against``
+    repeats its deflation pass, and runs its post pass, less often.  ``A -
+    theta*B`` serves CG alone: one ``ShiftedOperator`` per theta, in CG's
+    precision.
 
-    When the plan's ``single`` is set the residual is rounded to float32
+    When ``single`` is set the residual is rounded to float32
     and CG runs in float32, with ``A - theta*B`` assembled in float32 and
     no float64 copy beside it; its rounding then scales with the residual,
     not with X.  At ``theta`` on an eigenvalue a float32 curvature can be
@@ -591,9 +565,6 @@ def _damp(win, a, b_op, width, theta, cfg, plan):
     pair.  A frozen column whose iterate would be the zero start returns
     its first preconditioned residual instead (``block_cg``), so W does not
     collapse into the basis.  Returns the CG report."""
-    band, precond, single = plan
-    if band is not None:
-        precond = _precond(win, b_op, band)
     lo = win.locked
     if win.shift_op is None or win.shift_op.theta != theta:
         win.shift_op = None   # free the old assembled matrix first
@@ -666,8 +637,6 @@ def gcg_solve(a, b=None, config=None):
         raise InvalidShape(f"unknown shift mode {cfg.shift_mode!r}")
     ne = int(cfg.num_eigen)
     bs, sx = resolve_block_sizes(cfg, n)
-    floor, single = _gershgorin_rules(a, b_op, cfg.cg_rel_tol)
-    plan = None   # the inner solve's set-up, built at the first damped step
 
     # a moving run holds its stored pairs, an X of at most 3*bs columns past
     # them, and P and W of at most bs each; the stored pairs and W together
@@ -698,6 +667,10 @@ def gcg_solve(a, b=None, config=None):
 
         limit = max(0, min(win.sx, ne) - win.locked)
         newly, first_res = _count_converged(a, b_op, basis, dec, limit, bs, cfg.tol)
+        if it == 1:
+            # not before the loop: a band factor held through the first
+            # projection and check raised the solve's peak
+            floor, precond, single = _inner_setup(a, b_op, win, cfg.cg_rel_tol)
         c = win.locked + newly
         # one record per iteration, filled in as the phases run
         rec = IterationRecord(
@@ -737,8 +710,7 @@ def gcg_solve(a, b=None, config=None):
             width = min(width, n - win.sx - win.np_)
             win.nw = 0
             if width > 0:
-                plan = plan or _inner_plan(a, single)
-                cg = _damp(win, a, b_op, width, rec.theta, cfg, plan)
+                cg = _damp(win, a, b_op, width, rec.theta, cfg, precond, single)
                 rec.cg_iterations = cg.iterations
                 rec.cg_converged = int(cg.converged.sum())
                 rec.cg_frozen = int(cg.frozen.sum())
@@ -757,9 +729,10 @@ def gcg_solve(a, b=None, config=None):
     # keep a report from pinning the whole basis
     k = min(ne, win.sx)
     nc = min(win.locked, ne)
-    values = win.lam[:k].copy()
-    blocks = (win.v[:, start : min(start + bs, k)] for start in range(0, k, bs))
-    residuals = np.fromiter(_residuals(a, b_op, blocks, values, quotients=True), float, k)
+    values, residuals = np.empty(k), np.empty(k)
+    for start in range(0, k, bs):
+        cols = slice(start, min(start + bs, k))
+        residuals[cols], values[cols] = _residuals(a, b_op, win.v[:, cols])
     order = np.concatenate(
         (np.argsort(values[:nc], kind="stable"), nc + np.argsort(values[nc:], kind="stable"))
     )

@@ -414,12 +414,12 @@ class TestGershgorin:
         """The floor is A's scaled-disc bound over B's upper end, at or
         above the plain ``lo_A / hi_B`` and under the pencil's spectrum."""
         from gcgeig import generate_builtin
-        from gcgeig.solver import _FLOOR_STEPS, _gershgorin_rules
+        from gcgeig.solver import _FLOOR_STEPS, _inner_setup
 
         n = 60
         a = CsrOperator(_diagonally_dominant(n, seed))
         _, b = generate_builtin("fem1d-p1", n)   # its P1 mass matrix
-        floor = _gershgorin_rules(a, b, 0.01)[0]
+        floor = _inner_setup(a, b, None, 0.01)[0]
         hi_b = b.gershgorin()[1]
         assert floor == a.scaled_gershgorin_floor(_FLOOR_STEPS) / hi_b
         assert floor >= a.gershgorin()[0] / hi_b > 0.0
@@ -450,7 +450,7 @@ class TestGershgorin:
         end; only CSR matrices are read, so dense and diagonal A, or a dense
         B, keep the floor at 0 even when A is diagonally dominant."""
         from gcgeig import generate_builtin
-        from gcgeig.solver import _gershgorin_rules
+        from gcgeig.solver import _inner_setup
 
         spd = _diagonally_dominant(40, 1)
         a, b = {
@@ -461,7 +461,7 @@ class TestGershgorin:
             "diagonal": lambda: (as_operator(np.arange(1.0, 41.0)), None),
             "dense-b": lambda: (CsrOperator(spd), as_operator(np.eye(40))),
         }[kind]()
-        assert _gershgorin_rules(a, b, 0.01)[0] == 0.0
+        assert _inner_setup(a, b, None, 0.01)[0] == 0.0
         if kind in ("fem1d-p1", "laplacian1d"):
             assert a.gershgorin()[0] == 0.0
 

@@ -635,7 +635,7 @@ def test_banded_fem_converges_with_the_band_factor(monkeypatch):
     rep = gcg_solve(a, b, SolverConfig(num_eigen=ne, seed=1))
     assert rep.status == "converged" and rep.iterations <= 40
     assert built == [a]
-    assert all(p is not None for p in seen)
+    assert seen and seen[0] is not None and all(p is seen[0] for p in seen)
     h = 1.0 / (n + 1)
     t = np.arange(1, ne + 1) * np.pi * h
     ref = (6.0 / h**2) * 2.0 * np.sin(t / 2.0) ** 2 / (2.0 + np.cos(t))
@@ -828,14 +828,16 @@ def test_scaled_floor_leaves_the_float32_rule(monkeypatch, kind):
     """The float32 rule reads the plain Gershgorin ``lo_A``: with the
     floor's power steps cut to 1, which gives the plain floor ``lo_A /
     hi_B``, ``single`` is the same.  diag-range keeps its exact floor 1, and
-    fem1d-p1 (``lo_A = 0``) keeps 0."""
-    rules = gcgeig.solver._gershgorin_rules
+    fem1d-p1 (``lo_A = 0``) keeps 0.  The band factor, whose solve vetoes
+    float32, is kept out so the rule itself is read."""
+    monkeypatch.setattr(gcgeig.operators.CsrOperator, "band_solver", lambda self: None)
+    setup = lambda a, b, rel_tol: gcgeig.solver._inner_setup(a, b, None, rel_tol)
     a, b = generate_builtin(kind, 600, seed=1)
     tols = (0.0, 0.01, 0.012, 1.0)
-    scaled = [rules(a, b, rel_tol) for rel_tol in tols]
+    scaled = [setup(a, b, rel_tol) for rel_tol in tols]
     monkeypatch.setattr(gcgeig.solver, "_FLOOR_STEPS", 1)
-    plain = [rules(a, b, rel_tol) for rel_tol in tols]
-    assert [r[1] for r in scaled] == [r[1] for r in plain]
+    plain = [setup(a, b, rel_tol) for rel_tol in tols]
+    assert [r[2] for r in scaled] == [r[2] for r in plain]
     lo = a.gershgorin()[0]
     hi_b = 1.0 if b is None else b.gershgorin()[1]
     assert plain[0][0] == (lo / hi_b if lo > 0.0 else 0.0)
@@ -864,7 +866,7 @@ def test_theta_before_the_first_lock_is_under_lambda_1(kind, moving):
     if kind == "clustered-b":
         b = scipy.sparse.diags(np.random.default_rng(0).uniform(1.0, 2.0, n), format="csr")
     b_op = None if b is None else gcgeig.operators.as_operator(b)
-    floor = gcgeig.solver._gershgorin_rules(a, b_op, 0.01)[0]
+    floor = gcgeig.solver._inner_setup(a, b_op, None, 0.01)[0]
     rep = gcg_solve(a, b, SolverConfig(num_eigen=6, seed=1, moving=moving))
     assert rep.status == "converged"
     lam1 = scipy.linalg.eigh(
@@ -879,17 +881,22 @@ def test_theta_before_the_first_lock_is_under_lambda_1(kind, moving):
         assert floor > a.gershgorin()[0] == 0.5
 
 
-def test_single_precision_rule_reads_the_gershgorin_condition():
+def test_single_precision_rule_reads_the_gershgorin_condition(monkeypatch):
     """float32 needs CSR matrices whose Gershgorin intervals start above 0
     with ``kappa_G * 2**-24 <= cg_rel_tol / 100``: clustered-random (kappa_G
     about 5.9) passes at the default 0.01; diag-range n=2000 (kappa_G 2000)
-    needs cg_rel_tol 0.012 or more; fem1d-p1 (lo_A = 0) never passes."""
-    single = lambda a, b, rel_tol: gcgeig.solver._gershgorin_rules(a, b, rel_tol)[1]
+    without its band factor needs cg_rel_tol 0.012 or more; fem1d-p1 (lo_A
+    = 0) never passes.  A band factor vetoes float32: with its own,
+    diag-range stays float64 at any tolerance."""
+    single = lambda a, b, rel_tol: gcgeig.solver._inner_setup(a, b, None, rel_tol)[2]
+    d, _ = generate_builtin("diag-range", 2000, seed=0)
+    assert d.band_solver() is not None
+    assert single(d, None, 0.012) is None and single(d, None, 1.0) is None
+    monkeypatch.setattr(gcgeig.operators.CsrOperator, "band_solver", lambda self: None)
     a, _ = generate_builtin("clustered-random", 2000, seed=1)
     lo, hi = a.gershgorin()
     assert single(a, None, 0.01) == (hi, 1.0) and 5.0 < hi / lo < 7.0
     assert single(a, None, 0.0) is None
-    d, _ = generate_builtin("diag-range", 2000, seed=0)
     assert single(d, None, 0.01) is None and single(d, None, 0.012) == (2000.0, 1.0)
     k, m = generate_builtin("fem1d-p1", 300, seed=0)
     assert single(k, m, 1.0) is None
@@ -985,6 +992,88 @@ class _Wrapped(LinearOperator):
             return y
         out[...] = y
         return out
+
+
+class _ReadOnly(_Wrapped):
+    """A user operator whose fresh products are read-only."""
+
+    def apply(self, x, out=None):
+        y = super().apply(x, out)
+        if out is None:
+            y.flags.writeable = False
+        return y
+
+
+@pytest.mark.parametrize("moving", [False, True])
+@pytest.mark.parametrize("generalized", [False, True])
+def test_read_only_operator_products(generalized, moving):
+    """clustered-random n=300, ne=8, as a user operator whose products are
+    read-only, alone and with such a B, diagonal in [1, 2]: the solver only
+    reads what A and B return, and the pairs are eigh's."""
+    n, ne = 300, 8
+    sp = generate_builtin("clustered-random", n, seed=1)[0].tocsr()
+    b = bm = None
+    if generalized:
+        bm = scipy.sparse.diags(np.random.default_rng(0).uniform(1.0, 2.0, n), format="csr")
+        b = _ReadOnly(bm)
+    rep = gcg_solve(_ReadOnly(sp), b, SolverConfig(num_eigen=ne, seed=1, moving=moving))
+    assert rep.status == "converged" and rep.residuals.max() < 1e-8
+    ref = scipy.linalg.eigh(
+        sp.toarray(), None if bm is None else bm.toarray(),
+        eigvals_only=True, subset_by_index=[0, ne - 1],
+    )
+    np.testing.assert_allclose(rep.eigenvalues, ref, rtol=1e-12, atol=0)
+
+
+def _column_residual(ax_j, x_j, bx_j, lam_j, generalized):
+    """The residual test one column at a time, as the solver once took it:
+    the reference for the block ``_residuals``."""
+    if generalized:
+        r = ax_j - lam_j * bx_j
+        denom = math.sqrt(max(float(x_j @ bx_j), 0.0))
+        if lam_j > 0.0:
+            denom *= lam_j
+    else:
+        r = ax_j - lam_j * x_j
+        denom = math.sqrt(float(x_j @ x_j))
+    if denom == 0.0:
+        denom = 1.0
+    return math.sqrt(float(r @ r)) / denom
+
+
+@pytest.mark.parametrize("generalized", [False, True])
+def test_block_residuals_match_the_column_test(generalized):
+    """``_residuals`` over a block gives each column's relative residual to
+    rounding: a positive, a negative (the absolute test) and a zero value,
+    and a zero column, whose denominator counts as 1.  Without values it
+    takes the Rayleigh quotients ``x'Ax / x'Bx`` and returns them too."""
+    rng = np.random.default_rng(3)
+    n = 40
+    m = rng.standard_normal((n, n))
+    a = gcgeig.operators.as_operator((m + m.T) / 2.0)
+    b = None
+    if generalized:
+        g = rng.standard_normal((n, n))
+        b = gcgeig.operators.as_operator(g @ g.T / n + np.eye(n))
+    x = np.asfortranarray(rng.standard_normal((n, 5)))
+    x[:, 3] = 0.0
+    lam = np.array([1.5, -2.0, 0.0, 0.7, 3.0])
+    ax = a.apply(x)
+    bx = x if b is None else b.apply(x)
+
+    def reference(values, cols):
+        return [_column_residual(ax[:, j], x[:, j], bx[:, j], v, generalized)
+                for v, j in zip(values, cols)]
+
+    got = gcgeig.solver._residuals(a, b, x, lam)
+    np.testing.assert_allclose(got, reference(lam, range(5)), rtol=1e-13, atol=0)
+    assert got[3] == 0.0 and np.all(got[[0, 1, 2, 4]] > 0.0)
+
+    cols = [0, 1, 2, 4]
+    rel, quotients = gcgeig.solver._residuals(a, b, x[:, cols])
+    want = [float(x[:, j] @ ax[:, j]) / float(x[:, j] @ bx[:, j]) for j in cols]
+    np.testing.assert_allclose(quotients, want, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(rel, reference(quotients, cols), rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("kind", ["fem1d-p1", "laplacian1d", "dense", "diagonal", "operator"])

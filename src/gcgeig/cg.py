@@ -11,10 +11,11 @@ restored on return.  The caller is expected to pass a shifted combination
 frozen column stops at its current iterate or, when the caller hands over a
 ``best`` store, at the iterate with the smallest residual it reached: on a
 ``theta`` that sits on an eigenvalue the sweep before the freeze can take a
-huge step along a tiny positive curvature and overshoot.  From a zero
-start, a frozen column whose returned iterate would be that zero start
-returns its first preconditioned residual instead, so it still offers a
-direction.
+huge step along a tiny positive curvature and overshoot.  Every solve
+starts from zero, and a frozen column whose returned iterate would be that
+zero start returns its first preconditioned residual instead, so it still
+offers a direction.  A caller with a start ``x0`` solves for the
+correction, ``x0 + block_cg(op, rhs - op @ x0)``, as the damped step does.
 
 The arithmetic runs in the precision of ``rhs``: float32 when ``rhs`` is
 float32, float64 otherwise.  The solver hands over float32 only where the
@@ -46,9 +47,9 @@ def _col_dots(x, y):
     return np.einsum("ij,ij->j", x, y)
 
 
-def block_cg(op, rhs, x0=None, max_iters=30, rel_tol=0.01, precond=None, best=None,
+def block_cg(op, rhs, *, max_iters=30, rel_tol=0.01, precond=None, best=None,
              curvature_floor=0.0):
-    """Return (solution, :class:`CgReport`).
+    """Return (solution, :class:`CgReport`) of the solve from zero.
 
     Each column stops once its residual drops below ``rel_tol`` times its
     starting residual, after ``max_iters`` sweeps, or on a nonpositive
@@ -68,35 +69,24 @@ def block_cg(op, rhs, x0=None, max_iters=30, rel_tol=0.01, precond=None, best=No
     of it) or a scaling by ``1 / diag(A)``.  Without ``precond`` the sweeps
     are plain CG.
     """
-    rhs = np.asfortranarray(rhs)
+    rhs = np.asarray(rhs)
     dtype = np.float32 if rhs.dtype == np.float32 else np.float64
-    rhs = rhs.astype(dtype, copy=False)
     if rhs.ndim != 2:
         raise InvalidShape(f"rhs must be 2-d, got shape {rhs.shape}")
     n, k = rhs.shape
     if op.dim != n:
         raise InvalidShape(f"operator dim {op.dim} != rhs dim {n}")
-    if x0 is None:
-        x = np.zeros((n, k), dtype, order="F")
-        r = rhs.copy(order="F")
-    else:
-        if x0.shape != rhs.shape:
-            raise InvalidShape(f"x0 shape {x0.shape} != rhs shape {rhs.shape}")
-        x = np.array(x0, dtype=dtype, order="F")
-        r = rhs - op.apply(x)
-
+    x = np.zeros((n, k), dtype, order="F")
+    r = np.array(rhs, dtype, order="F")
     rn0 = np.sqrt(_col_dots(r, r))
-    # Plain CG takes the first r.z against a C-order copy: einsum rounds by
-    # layout, and this is the rounding the solver's results were pinned with.
-    # A preconditioner writes into z, F-order like the block it is handed on
-    # every later sweep.
+    # a preconditioner writes into z, a work array held for the whole solve
     if precond is None:
-        z = r.copy()
+        z = r
     else:
         z = np.empty((n, k), dtype, order="F")
         precond(r, z)
     rz = _col_dots(r, z)
-    p = np.array(z, dtype=dtype, order="F")
+    p = z.copy(order="F")
     q = np.empty((n, k), dtype, order="F")
 
     # Per-position state: position i of the work arrays holds column
@@ -130,9 +120,9 @@ def block_cg(op, rhs, x0=None, max_iters=30, rel_tol=0.01, precond=None, best=No
         if na == 0:
             break
         sweeps += 1
-        # from a zero start, x is still that start at the first sweep, where
-        # p is the first preconditioned residual z0
-        first = x0 is None and sweeps == 1
+        # x is still the zero start at the first sweep, where p is the first
+        # preconditioned residual z0
+        first = sweeps == 1
         pa, qa = p[:, :na], q[:, :na]
         op.apply(pa, out=qa)
         den = _col_dots(pa, qa)

@@ -27,34 +27,25 @@ _SYM_RTOL = 1e-12
 # CsrOperator.apply streams the matrix once per block from this width on and
 # once per column below it.  The block product pays for a C-order copy of the
 # input and a C-order result, which the narrow blocks of the inner solves do
-# not earn back.  Microseconds per apply, per-column loop / block, best of
-# 7 x 40 interleaved applies (x 10 at n=20000) on F-order input, the last of
-# three runs (2-vCPU Xeon guest, scipy 1.17, 1 thread); the clustered matrix
-# has 11 entries per row, the fem ones 3:
+# not earn back.  Measured inside solves: each apply ran both forms on its
+# own input, alternating which ran first.  Median microseconds per apply,
+# per-column loop / block, over seeds 1-3 of the benchmark's workloads
+# (2-vCPU Xeon guest, scipy 1.17, 1 BLAS thread).  fem-cg applies fem1d-p1
+# n=3000 matrices in float64 at 1, 2 and 16 columns only.  The clustered
+# workloads apply the float32 A - theta*I of clustered-random n=2000 in CG
+# and its A in float64 elsewhere, most of them 40 columns wide
+# (cluster-wide shown; cluster-moving within 12%):
 #
-#   k                                  1       2        3        4        5
-#   clustered-random n=2000        26/26   50/72    77/75   105/90  130/105
-#   fem1d-p1 A-5B n=3000           19/20   40/74    54/75    72/62    98/98
-#   fem1d-p1 A-5B n=20000          54/54 113/263  172/299  236/360  299/434
+#   k                        1      2      3       4       5       8      16       40
+#   fem1d-p1 float64     13/13  25/42      -       -       -       -  304/567       -
+#   clustered float32    30/31  63/86  84/99  111/90 131/102  202/99  421/133 1009/272
+#   clustered float64    42/37  74/80      -  132/102 152/96       -  467/209 1090/457
 #
-#   k                                  6       8       16         40
-#   clustered-random n=2000      166/143 217/158  419/235  1502/1701
-#   fem1d-p1 A-5B n=3000         118/105 153/122  319/232    806/498
-#   fem1d-p1 A-5B n=20000        371/524 514/692 1464/2710 3637/7609
-#
-#   k                                 80         128
-#   clustered-random n=2000    2943/3765   3538/2233
-#   fem1d-p1 A-5B n=3000        1126/981   1613/6182
-#   fem1d-p1 A-5B n=20000     5975/19869  9630/28296
-#
-# From 5 to 16 columns the block product ties or wins at n <= 3000.  Wider,
-# it loses in places: on the clustered matrix at 40 and 80 columns (three
-# runs read 1502/1701, 1893/2260 and 1621/1698 at 40), on the fem one at
-# n=3000 at 128 columns, and on the fem one at n=20000 from 2 columns on, by
-# up to 3.3x.  The two transposing copies go into fresh temporaries, which the
-# allocator maps afresh above its mmap threshold and which fault in page by
-# page on every call.  With the malloc trim and mmap thresholds raised,
-# clustered k=40 reads 1099/481 and fem n=20000 k=40 2475/3508.
+# The loop wins or ties at 1 to 3 columns; the block wins from 4 on the
+# clustered matrices, a width the fem solves never apply.  Its one loss at 5
+# or more is fem-cg's 16-column products, 9 calls in three solves.  CSR
+# products take 24%, 15% and 21% of the fem-cg, cluster-wide and
+# cluster-moving solves.
 _BLOCK_MIN_COLS = 5
 
 # CsrOperator._radii, behind gershgorin and scaled_gershgorin_floor, sums the

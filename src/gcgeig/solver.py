@@ -570,10 +570,9 @@ def _damp(win, a, b_op, width, theta, cfg, precond, single):
         win.shift_op = None   # free the old assembled matrix first
         dtype = np.float64 if single is None else np.float32
         win.shift_op = ShiftedOperator(a, b_op, theta, dtype)
-    x_act = np.asfortranarray(win.v[:, lo : lo + width])
-    bx_act = b_op.apply(x_act) if b_op is not None else x_act
-    r0 = np.asfortranarray(bx_act * win.lam[lo : lo + width])
-    del bx_act   # free B X before the product with A allocates
+    x_act = win.v[:, lo : lo + width]
+    # B X is freed before the product with A allocates
+    r0 = (b_op.apply(x_act) if b_op is not None else x_act) * win.lam[lo : lo + width]
     r0 -= a.apply(x_act)
     start = win.sx + win.np_
     w_slot = win.v[:, start : start + width]

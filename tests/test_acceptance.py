@@ -199,7 +199,10 @@ def test_acceptance_06_shift_rate_oracle(capsys):
     for theta in (0.0, 1.0):
         op = ShiftedOperator(DenseOperator(a), None, theta)
         rhs = np.asfortranarray((lam_t - theta) * x0)
-        x1, _ = block_cg(op, rhs, x0=x0, max_iters=1, rel_tol=0.0)
+        # one step from x0, taken as the damped step takes it: for the
+        # correction, from zero, against x0's residual
+        step, _ = block_cg(op, rhs - op.apply(x0), max_iters=1, rel_tol=0.0)
+        x1 = x0 + step
         got = (x1[2, 0] / x1[1, 0]) / (a3 / a2)
         want = (lam2 - theta) / (lam3 - theta)
         worst = max(worst, abs(got - want))

@@ -58,11 +58,9 @@ def test_zero_rhs_column_finishes_immediately():
 def test_single_sweep_matches_hand_computed_step():
     op = DiagonalOperator(np.array([3.0, 5.0, 9.0]))
     rhs = np.asfortranarray(np.array([[1.0], [2.0], [-1.0]]))
-    x0 = np.asfortranarray(np.array([[0.5], [0.0], [0.25]]))
-    x, rep = block_cg(op, rhs, x0=x0, max_iters=1, rel_tol=1e-300)
-    r0 = rhs - op.apply(x0)
-    alpha = float(np.vdot(r0, r0)) / float(np.vdot(r0, op.apply(r0)))
-    expect = x0 + alpha * r0
+    x, rep = block_cg(op, rhs, max_iters=1, rel_tol=1e-300)
+    alpha = float(np.vdot(rhs, rhs)) / float(np.vdot(rhs, op.apply(rhs)))
+    expect = alpha * rhs
     assert rep.iterations == 1
     assert np.abs(x - expect).max() <= 1e-15
 
@@ -97,8 +95,10 @@ def test_shape_validation():
     op = DiagonalOperator(np.ones(4))
     with pytest.raises(InvalidShape):
         block_cg(op, np.zeros((5, 1), order="F"))
-    with pytest.raises(InvalidShape):
-        block_cg(op, np.zeros((4, 2), order="F"), x0=np.zeros((4, 1), order="F"))
+    # the parameters after rhs are keyword-only: a positional start raises
+    # instead of binding to max_iters
+    with pytest.raises(TypeError):
+        block_cg(op, np.zeros((4, 2), order="F"), np.zeros((4, 2), order="F"))
 
 
 def _overshoot_case():
@@ -118,24 +118,22 @@ def _overshoot_case():
 def test_frozen_column_returns_its_smallest_residual_iterate():
     op, rhs = _overshoot_case()
     col = np.asfortranarray(rhs[:, :1])
-    x0 = np.zeros_like(col)
-    x_off, off = block_cg(op, col, x0=x0, max_iters=30, rel_tol=1e-300)
+    x_off, off = block_cg(op, col, max_iters=30, rel_tol=1e-300)
     assert off.frozen[0] and off.iterations == 3
-    iterates = [block_cg(op, col, x0=x0, max_iters=s, rel_tol=1e-300)[0] for s in range(3)]
+    iterates = [block_cg(op, col, max_iters=s, rel_tol=1e-300)[0] for s in range(3)]
     res = [np.linalg.norm(col - op.apply(x)) for x in iterates + [x_off]]
     assert int(np.argmin(res)) == 1 and res[-1] > 50.0 * res[1]
 
     store = np.full((6, 1), np.nan, order="F")
-    x_on, on = block_cg(op, col, x0=x0, max_iters=30, rel_tol=1e-300, best=store)
+    x_on, on = block_cg(op, col, max_iters=30, rel_tol=1e-300, best=store)
     assert on.frozen[0] and on.iterations == 3
     np.testing.assert_array_equal(x_on, iterates[1])
 
 
 def test_restored_column_reports_its_residual_and_leaves_the_others():
     op, rhs = _overshoot_case()
-    x0 = np.zeros_like(rhs)
-    x_off, off = block_cg(op, rhs, x0=x0, max_iters=30, rel_tol=1e-12)
-    x_on, on = block_cg(op, rhs, x0=x0, max_iters=30, rel_tol=1e-12, best=np.empty_like(rhs))
+    x_off, off = block_cg(op, rhs, max_iters=30, rel_tol=1e-12)
+    x_on, on = block_cg(op, rhs, max_iters=30, rel_tol=1e-12, best=np.empty_like(rhs))
     assert on.frozen[0] and on.converged[1]
     np.testing.assert_array_equal(x_on[:, 1], x_off[:, 1])
     assert on.relative_residuals[1] == off.relative_residuals[1]

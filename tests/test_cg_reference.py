@@ -1,14 +1,15 @@
 """Block CG on a compacted active prefix against the fancy-index reference.
 
 ``reference_block_cg`` is the earlier implementation, which gathered the
-active columns with fancy indexing on every sweep.  The compacted sweep does
-the same arithmetic on the same data, so with ``x0`` given and no
-preconditioner it must agree bit for bit.  Elsewhere the reference keeps its
-residual in C order, where einsum rounds differently, so agreement is to
-1e-13 relative with the same per-column outcome.  That covers the solver's
-own path, a zero start with the scaling by ``1 / diag``; where the solver
-runs that path in float32, the float32 sweeps are held to the float64
-reference at a float32-scale bound.
+active columns with fancy indexing on every sweep.  Both start from zero,
+keep every block in F order and apply ``block_cg``'s two zero-start rules:
+a column frozen at the first sweep returns its first preconditioned
+residual ``z0``, and ``z0`` stands in for the zero start in the ``best``
+store.  The compacted sweep does the same arithmetic on the same data, so
+on the solver's path, plain or scaled by ``1 / diag``, with or without a
+``best`` store, the two agree bit for bit.  Where the solver runs that
+path in float32, the float32 sweeps are held to the float64 reference at
+a float32-scale bound.
 """
 
 import numpy as np
@@ -24,28 +25,23 @@ def _col_dots(x, y):
     return np.einsum("ij,ij->j", x, y)
 
 
-def reference_block_cg(op, rhs, x0=None, max_iters=30, rel_tol=0.01, precond=None,
-                       keep_best=False):
+def reference_block_cg(op, rhs, max_iters=30, rel_tol=0.01, precond=None, keep_best=False):
     rhs = np.asfortranarray(rhs, dtype=np.float64)
     n, k = rhs.shape
-    if x0 is None:
-        x = np.zeros((n, k), order="F")
-        r = rhs.copy()
-    else:
-        x = np.array(x0, dtype=np.float64, order="F")
-        r = rhs - op.apply(x)
+    x = np.zeros((n, k), order="F")
+    r = rhs.copy(order="F")
 
     rn0 = np.sqrt(_col_dots(r, r))
     target = rel_tol * rn0
     converged = rn0 <= target
     frozen = np.zeros(k, dtype=bool)
     rn = rn0.copy()
-    # keep_best: each column's smallest residual so far and its iterate
-    rn_best, x_best = rn0.copy(), x.copy()
-
-    z = precond(r) if precond is not None else r.copy()
-    p = z.copy()
+    z = precond(r) if precond is not None else r.copy(order="F")
+    p = z.copy(order="F")
     rz = _col_dots(r, z)
+    # keep_best: each column's smallest residual so far and its iterate, with
+    # z0 standing in for the zero start
+    rn_best, x_best = rn0.copy(), z.copy(order="F")
     sweeps = 0
 
     for _ in range(max_iters):
@@ -62,17 +58,21 @@ def reference_block_cg(op, rhs, x0=None, max_iters=30, rel_tol=0.01, precond=Non
                 back = idx[bad & (rn[idx] > rn_best[idx])]
                 x[:, back] = x_best[:, back]
                 rn[back] = rn_best[back]
+            if sweeps == 1:
+                # a column frozen at the first sweep returns z0
+                x[:, idx[bad]] = pb[:, bad]
             frozen[idx[bad]] = True
             idx = idx[~bad]
             if idx.size == 0:
                 continue
-            pb = pb[:, ~bad]
-            qb = qb[:, ~bad]
+            pb = np.asfortranarray(pb[:, ~bad])
+            qb = np.asfortranarray(qb[:, ~bad])
             den = den[~bad]
         alpha = rz[idx] / den
         x[:, idx] += pb * alpha
-        r[:, idx] -= qb * alpha
-        rn[idx] = np.sqrt(_col_dots(r[:, idx], r[:, idx]))
+        rb = np.asfortranarray(r[:, idx] - qb * alpha)
+        r[:, idx] = rb
+        rn[idx] = np.sqrt(_col_dots(rb, rb))
         if keep_best:
             new_best = idx[rn[idx] <= rn_best[idx]]
             rn_best[new_best] = rn[new_best]
@@ -82,8 +82,9 @@ def reference_block_cg(op, rhs, x0=None, max_iters=30, rel_tol=0.01, precond=Non
         idx = idx[~done]
         if idx.size == 0:
             continue
-        zb = precond(r[:, idx]) if precond is not None else r[:, idx]
-        rz_new = _col_dots(r[:, idx], zb)
+        rb = np.asfortranarray(r[:, idx])
+        zb = precond(rb) if precond is not None else rb
+        rz_new = _col_dots(rb, zb)
         beta = rz_new / rz[idx]
         p[:, idx] = zb + p[:, idx] * beta
         rz[idx] = rz_new
@@ -142,51 +143,6 @@ def _case(seed):
     return op, np.asfortranarray(rhs), np.asfortranarray(x0), max_iters, rel_tol, diag
 
 
-def _assert_same_outcome(rep, ref):
-    assert rep.iterations == ref.iterations
-    np.testing.assert_array_equal(rep.converged, ref.converged)
-    np.testing.assert_array_equal(rep.frozen, ref.frozen)
-
-
-@pytest.mark.parametrize("seed", range(120))
-def test_bit_identical_on_the_solver_path(seed):
-    op, rhs, x0, max_iters, rel_tol, _ = _case(seed)
-    x, rep = block_cg(op, rhs, x0=x0, max_iters=max_iters, rel_tol=rel_tol)
-    x_ref, ref = reference_block_cg(op, rhs, x0=x0, max_iters=max_iters, rel_tol=rel_tol)
-    _assert_same_outcome(rep, ref)
-    np.testing.assert_array_equal(x, x_ref)
-    np.testing.assert_array_equal(rep.relative_residuals, ref.relative_residuals)
-    assert x.flags.f_contiguous
-
-
-@pytest.mark.parametrize("seed", range(120))
-def test_frozen_columns_keep_their_best_iterate(seed):
-    """With a ``best`` store, a frozen column returns the iterate with its
-    smallest residual, bit for bit with a reference that copies every
-    column's iterate whenever it reaches a new smallest residual."""
-    op, rhs, x0, max_iters, rel_tol, _ = _case(seed)
-    kw = dict(x0=x0, max_iters=max_iters, rel_tol=rel_tol)
-    x, rep = block_cg(op, rhs, best=np.empty_like(rhs), **kw)
-    x_ref, ref = reference_block_cg(op, rhs, keep_best=True, **kw)
-    _assert_same_outcome(rep, ref)
-    np.testing.assert_array_equal(x, x_ref)
-    np.testing.assert_array_equal(rep.relative_residuals, ref.relative_residuals)
-    assert x.flags.f_contiguous
-
-
-def test_battery_freezes_columns_past_their_best_iterate():
-    """Enough seeded cases freeze a column after its residual rose, so the
-    test above compares restored iterates and not only untouched ones."""
-    restored = 0
-    for seed in range(120):
-        op, rhs, x0, max_iters, rel_tol, _ = _case(seed)
-        kw = dict(x0=x0, max_iters=max_iters, rel_tol=rel_tol)
-        x_off, _ = block_cg(op, rhs, **kw)
-        x_on, rep = block_cg(op, rhs, best=np.empty_like(rhs), **kw)
-        restored += bool((rep.frozen & (x_on != x_off).any(axis=0)).any())
-    assert restored >= 20
-
-
 def _jacobi(diag, dtype=np.float64):
     """Scaling by 1/|diag|, held in ``dtype``, in block_cg's form ``f(r,
     out)`` and, without ``out``, in the reference's ``f(r)``."""
@@ -194,30 +150,66 @@ def _jacobi(diag, dtype=np.float64):
     return lambda r, out=None: np.multiply(r, inv[:, None], out=out)
 
 
+def _assert_matches_reference(op, rhs, keep_best=False, **kw):
+    best = np.empty_like(rhs) if keep_best else None
+    x, rep = block_cg(op, rhs, best=best, **kw)
+    x_ref, ref = reference_block_cg(op, rhs, keep_best=keep_best, **kw)
+    assert rep.iterations == ref.iterations
+    np.testing.assert_array_equal(rep.converged, ref.converged)
+    np.testing.assert_array_equal(rep.frozen, ref.frozen)
+    np.testing.assert_array_equal(x, x_ref)
+    np.testing.assert_array_equal(rep.relative_residuals, ref.relative_residuals)
+    assert x.flags.f_contiguous
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_bit_identical_on_the_solver_path(seed):
+    """The damped step's CG once a pair locks: a zero start, the scaling by
+    ``1 / diag`` and a ``best`` store."""
+    op, rhs, _, max_iters, rel_tol, diag = _case(seed)
+    _assert_matches_reference(
+        op, rhs, keep_best=True, max_iters=max_iters, rel_tol=rel_tol, precond=_jacobi(diag)
+    )
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_frozen_columns_keep_their_best_iterate(seed):
+    """With a ``best`` store and plain CG, a frozen column returns the iterate
+    with its smallest residual, bit for bit with a reference that copies
+    every column's iterate whenever it reaches a new smallest residual."""
+    op, rhs, _, max_iters, rel_tol, _ = _case(seed)
+    _assert_matches_reference(op, rhs, keep_best=True, max_iters=max_iters, rel_tol=rel_tol)
+
+
+def test_battery_freezes_columns_past_their_best_iterate():
+    """Enough seeded cases freeze a column after its residual rose, so the
+    tests above compare restored iterates and not only untouched ones."""
+    restored = 0
+    for seed in range(120):
+        op, rhs, _, max_iters, rel_tol, _ = _case(seed)
+        kw = dict(max_iters=max_iters, rel_tol=rel_tol)
+        x_off, _ = block_cg(op, rhs, **kw)
+        x_on, rep = block_cg(op, rhs, best=np.empty_like(rhs), **kw)
+        restored += bool((rep.frozen & (x_on != x_off).any(axis=0)).any())
+    assert restored >= 20
+
+
 @pytest.mark.parametrize("seed", range(60))
 @pytest.mark.parametrize("start", ["zero", "zero-precond", "x0-precond"])
 def test_close_without_x0_or_with_preconditioner(seed, start):
-    """``zero-precond`` is the solver's path: a zero start and the scaling.
-    There the reference's z is C-ordered at every sweep, not only at the
-    first, and on the indefinite shifted cases, whose residuals grow up to
-    194-fold, the rounding gap grows with them: the largest measured over
-    the 60 seeds is 1.0e-12 relative in x and in a residual, and 6.3e-15 on
-    a residual at the rounding floor.  So that path is held to 1e-11 and
-    1e-14, the others to 1e-13 and 1e-15."""
-    op, rhs, x0, max_iters, rel_tol, diag = _case(seed)
-    kw = dict(max_iters=max_iters, rel_tol=rel_tol)
-    if start != "zero":
-        kw.update(precond=_jacobi(diag))
-    if start == "x0-precond":
-        kw.update(x0=x0)
-    rtol, atol = (1e-11, 1e-14) if start == "zero-precond" else (1e-13, 1e-15)
-    x, rep = block_cg(op, rhs, **kw)
-    x_ref, ref = reference_block_cg(op, rhs, **kw)
-    _assert_same_outcome(rep, ref)
-    scale = max(float(np.abs(x_ref).max()), 1e-300)
-    assert float(np.abs(x - x_ref).max()) <= rtol * scale
-    np.testing.assert_allclose(rep.relative_residuals, ref.relative_residuals, rtol=rtol, atol=atol)
-    assert x.flags.f_contiguous
+    """Equal, not only close, without a ``best`` store, on cases ``seed``
+    and ``seed + 60``: ``zero`` is plain CG, ``zero-precond`` scales by
+    ``1 / diag``, and ``x0-precond`` takes the case's start ``x0`` as the
+    damped step does, scaled, solving for the correction against the
+    residual ``rhs - op @ x0``."""
+    for case in (seed, seed + 60):
+        op, rhs, x0, max_iters, rel_tol, diag = _case(case)
+        kw = dict(max_iters=max_iters, rel_tol=rel_tol)
+        if start != "zero":
+            kw.update(precond=_jacobi(diag))
+        if start == "x0-precond":
+            rhs = rhs - op.apply(x0)
+        _assert_matches_reference(op, rhs, **kw)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -245,15 +237,17 @@ def test_float32_sweeps_against_the_float64_reference(seed, shift):
     )
     x_ref, ref = reference_block_cg(op64, rhs, rel_tol=0.01, precond=_jacobi(diag))
     assert x.dtype == np.float32 and ref.converged.any()
-    _assert_same_outcome(rep, ref)
+    assert rep.iterations == ref.iterations
+    np.testing.assert_array_equal(rep.converged, ref.converged)
+    np.testing.assert_array_equal(rep.frozen, ref.frozen)
     bound = 4.0 * (hi / lo) * 2.0**-24
     assert float(np.abs(x - x_ref).max()) <= bound * float(np.abs(x_ref).max())
     np.testing.assert_allclose(rep.relative_residuals, ref.relative_residuals, rtol=0, atol=bound)
 
 
-def _stop_sweep(op, rhs, x0, max_iters, rel_tol, j):
+def _stop_sweep(op, rhs, max_iters, rel_tol, j):
     """Sweep at which column j stops when solved alone, None if it runs out."""
-    _, rep = block_cg(op, rhs[:, [j]], x0=x0[:, [j]], max_iters=max_iters, rel_tol=rel_tol)
+    _, rep = block_cg(op, rhs[:, [j]], max_iters=max_iters, rel_tol=rel_tol)
     return rep.iterations if rep.converged[0] or rep.frozen[0] else None
 
 
@@ -262,9 +256,9 @@ def test_battery_exercises_every_path():
     run into the cap, and carry zero right-hand sides."""
     frozen = staggered = capped = zero = 0
     for seed in range(120):
-        op, rhs, x0, max_iters, rel_tol, _ = _case(seed)
-        _, rep = block_cg(op, rhs, x0=x0, max_iters=max_iters, rel_tol=rel_tol)
-        stops = {_stop_sweep(op, rhs, x0, max_iters, rel_tol, j) for j in range(rhs.shape[1])}
+        op, rhs, _, max_iters, rel_tol, _ = _case(seed)
+        _, rep = block_cg(op, rhs, max_iters=max_iters, rel_tol=rel_tol)
+        stops = {_stop_sweep(op, rhs, max_iters, rel_tol, j) for j in range(rhs.shape[1])}
         frozen += bool(rep.frozen.any())
         staggered += len(stops - {None}) >= 2
         capped += rep.iterations == max_iters
